@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from . import exact, mst, simulation, svgplot
@@ -33,7 +34,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _format_pvalue(pv: exact.ExactPValue) -> str:
-    return f"{pv.real_value:.6g} (exact {pv.numerator}/{pv.denominator})"
+    # Decimal prints integers of any length; str() of an int refuses more
+    # than sys.get_int_max_str_digits() digits, which C(2q, q) passes at
+    # q ~ 7140. These integers are computed here, not read from input.
+    return (f"{pv.real_value:.6g} (exact {Decimal(pv.numerator)}/"
+            f"{Decimal(pv.denominator)})")
 
 
 def cmd_pvalue(args) -> int:
@@ -43,12 +48,15 @@ def cmd_pvalue(args) -> int:
 
 
 def _write_step_csv(path, curve_a, curve_b, label_a, label_b) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "weight", "edges_added"])
-        for label, curve in ((label_a, curve_a), (label_b, curve_b)):
-            for w, c in curve:
-                writer.writerow([label, repr(float(w)), c])
+    try:
+        with Path(path).open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["series", "weight", "edges_added"])
+            for label, curve in ((label_a, curve_a), (label_b, curve_b)):
+                for w, c in curve:
+                    writer.writerow([label, repr(float(w)), c])
+    except OSError as err:
+        raise DataError(f"cannot write {path}: {err}") from err
 
 
 def _compare_report(ma, mb, mode, name_a, name_b, localize_center=None,

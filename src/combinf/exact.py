@@ -35,6 +35,7 @@ class MonotoneSequence:
 
     Strictly increasing by default; ``strict=False`` admits ties (used for
     sorted MST edge weights, where downstream code absorbs them and warns).
+    Values must be finite.
     """
 
     values: tuple[float, ...]
@@ -45,6 +46,9 @@ class MonotoneSequence:
             raise ValidationError("monotone sequence must be nonempty")
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
+        for j, v in enumerate(vals):
+            if not math.isfinite(v):
+                raise ValidationError(f"values must be finite: values[{j}]={v!r}")
         for j in range(len(vals) - 1):
             if vals[j + 1] < vals[j] or (self.strict and vals[j + 1] == vals[j]):
                 kind = "strictly increasing" if self.strict else "nondecreasing"

@@ -57,6 +57,12 @@ def read_matrix_csv(path, sym_tol: float = 1e-9) -> ConnectivityMatrix:
                 "(matrix must be square)")
         for c, tok in enumerate(row):
             values[r, c] = _parse_cell(tok, r + 1, c + 1)
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise DataError(
+            f"{path}: non-finite value {values[r, c]} at row {r + 1}, "
+            f"column {c + 1}")
     if labels is None:
         labels = tuple(f"V{k + 1}" for k in range(p))
     elif len(labels) != p:

@@ -215,11 +215,6 @@ def simulate_modular_pair(n: int, p: int, k_a: int, k_b: int, sigma: float,
     return DataMatrix(values=y_a), DataMatrix(values=y_b)
 
 
-def _edge_index_arrays(p: int) -> tuple[np.ndarray, np.ndarray]:
-    iu, ju = np.triu_indices(p, k=1)
-    return iu.astype(np.int64), ju.astype(np.int64)
-
-
 def _one_minus_flag(weight_mode: str) -> bool:
     if weight_mode not in WEIGHT_MODES:
         raise ValidationError(
@@ -230,18 +225,13 @@ def _one_minus_flag(weight_mode: str) -> bool:
 def observed_discrepancy(group_a: DataMatrix, group_b: DataMatrix,
                          weight_mode: str = "one_minus") -> int:
     """Max step-function gap between the two groups' correlation-MST weight
-    sequences (kernel path)."""
-    if group_a.p != group_b.p:
+    sequences: the permutation null's statistic on the observed split."""
+    if group_a.n != group_b.n or group_a.p != group_b.p:
         raise ValidationError(
-            f"groups differ in node count: {group_a.p} vs {group_b.p}")
-    one_minus = _one_minus_flag(weight_mode)
-    iu, ju = _edge_index_arrays(group_a.p)
-    wa = _kernels.group_mst_weights(np.ascontiguousarray(group_a.values),
-                                    iu, ju, one_minus)
-    wb = _kernels.group_mst_weights(np.ascontiguousarray(group_b.values),
-                                    iu, ju, one_minus)
-    d, _, _ = _kernels.discrepancy_sorted(wa, wb)
-    return int(d)
+            f"groups must share n and p, got {group_a.values.shape} "
+            f"and {group_b.values.shape}")
+    pair = np.stack([group_a.values, group_b.values])[None]
+    return int(_kernels.mst_discrepancies(pair, _one_minus_flag(weight_mode))[0])
 
 
 def run_combinatorial_trial(group_a: DataMatrix, group_b: DataMatrix,
@@ -288,9 +278,7 @@ def permutation_test(group_a: DataMatrix, group_b: DataMatrix,
         num_permutations = cap
     one_minus = _one_minus_flag(weight_mode)
     d_obs = observed_discrepancy(group_a, group_b, weight_mode)
-    pooled = np.ascontiguousarray(
-        np.vstack([group_a.values, group_b.values]))
-    iu, ju = _edge_index_arrays(group_a.p)
+    pooled = np.vstack([group_a.values, group_b.values])
 
     if exhaustive:
         if cap > EXHAUSTIVE_SPACE_LIMIT:
@@ -316,7 +304,7 @@ def permutation_test(group_a: DataMatrix, group_b: DataMatrix,
         else:
             perms = np.array([rng.permutation(2 * n)
                               for _ in range(num_permutations)], dtype=np.int64)
-    null = _kernels.permutation_null(pooled, perms, iu, ju, one_minus)
+    null = _kernels.permutation_null(pooled, perms, one_minus)
     hits = int(np.count_nonzero(null >= d_obs))
     if add_one:
         return (hits + 1) / (len(null) + 1)

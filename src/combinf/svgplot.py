@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .errors import DataError
+
 WIDTH, HEIGHT = 640, 440
 MARGIN = 60
 
@@ -70,4 +72,7 @@ def write_growth_curve_svg(path, curve_a, curve_b, label_a="A", label_b="B",
             f'<line x1="{mx:.2f}" y1="{MARGIN}" x2="{mx:.2f}" '
             f'y2="{HEIGHT - MARGIN}" stroke="gray" stroke-dasharray="3 3"/>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    try:
+        Path(path).write_text("\n".join(parts) + "\n")
+    except OSError as err:
+        raise DataError(f"cannot write {path}: {err}") from err

@@ -1,4 +1,7 @@
 import json
+import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +54,17 @@ class TestMatrixCsv:
         path.write_text("0.0,1.0\n2.0,0.0\n")
         with pytest.raises(DataError, match="not symmetric"):
             read_matrix_csv(path)
+
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("a,b\n1.0,nan\nnan,1.0\n")
+        with pytest.raises(DataError, match="row 1, column 2"):
+            read_matrix_csv(path)
+        other = tmp_path / "inf.csv"
+        other.write_text("1.0,0.5\n0.5,inf\n")
+        assert cli.main(["compare", str(path), str(path)]) == 2
+        assert cli.main(["compare", str(other), str(other)]) == 2
+        assert "row 2, column 2" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -108,6 +122,18 @@ class TestCliPvalue:
     def test_invalid_q(self, capsys):
         assert cli.main(["pvalue", "--q", "0", "--d", "1"]) == 1
 
+    def test_exact_fraction_past_int_str_limit(self, capsys):
+        # C(14400, 7200) has more digits than str(int) accepts by default.
+        q, d = 7200, 3
+        assert cli.main(["pvalue", "--q", str(q), "--d", str(d)]) == 0
+        out = capsys.readouterr().out
+        num, den = out.split("(exact ")[1].rstrip(")\n").split("/")
+        closed = 2 * sum((-1) ** (k + 1) * math.comb(2 * q, q - k * d)
+                         for k in range(1, q // d + 1))
+        expected = Fraction(closed, math.comb(2 * q, q))
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == expected
+        assert len(den) > 4300  # CPython's default limit
+
 
 class TestCliCompare:
     def write_pair(self, rng, tmp_path, same=False):
@@ -156,6 +182,14 @@ class TestCliCompare:
         assert (tmp_path / "o.csv").read_bytes() == csv1
         assert b"edge weight" in svg1 and b"edges added" in svg1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--svg", "--csv"])
+    def test_output_into_missing_directory_exit_2(self, rng, tmp_path, capsys,
+                                                  flag):
+        pa, pb = self.write_pair(rng, tmp_path)
+        target = tmp_path / "no_such_dir" / "out"
+        assert cli.main(["compare", str(pa), str(pb), flag, str(target)]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_dimension_mismatch_exit_2(self, rng, tmp_path, capsys):
         pa, _ = self.write_pair(rng, tmp_path)

@@ -35,6 +35,11 @@ class TestMonotoneSequence:
         with pytest.raises(ValidationError):
             exact.MonotoneSequence((2.0, 1.0), strict=False)
 
+    def test_rejects_non_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match=r"values\[1\]"):
+                exact.MonotoneSequence((0.0, bad, 2.0), strict=False)
+
     def test_tie_tolerant_path(self):
         seq = exact.MonotoneSequence((1.0, 1.0, 2.0), strict=False)
         assert seq.q == 3

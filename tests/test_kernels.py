@@ -1,66 +1,59 @@
-import os
-import subprocess
-import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from combinf import _kernels, mst
 from combinf.exact import MonotoneSequence, discrepancy
-
-PARITY_SNIPPET = """
-import numpy as np
-from combinf import _kernels
-rng = np.random.default_rng(123)
-out = []
-for _ in range(20):
-    q = int(rng.integers(2, 30))
-    a = np.sort(rng.standard_normal(q))
-    b = np.sort(rng.standard_normal(q))
-    out.append(_kernels.discrepancy_sorted(a, b)[0])
-p = 12
-iu, ju = np.triu_indices(p, k=1)
-iu = iu.astype(np.int64); ju = ju.astype(np.int64)
-Z = rng.standard_normal((12, p))
-perms = np.array([rng.permutation(12) for _ in range(25)], dtype=np.int64)
-null = _kernels.permutation_null(np.ascontiguousarray(Z), perms, iu, ju, True)
-null2 = _kernels.permutation_null(np.ascontiguousarray(Z), perms, iu, ju, False)
-print(_kernels.backend())
-print(out)
-print(list(null))
-print(list(null2))
-"""
+from combinf.simulation import RngStream, simulate_modular_pair
 
 
-def run_with_env(no_numba):
-    env = dict(os.environ, COMBINF_NO_NUMBA="1" if no_numba else "0")
-    res = subprocess.run([sys.executable, "-c", PARITY_SNIPPET],
-                         capture_output=True, text=True, env=env, check=True)
-    return res.stdout.strip().splitlines()
+def reference_sorted_weights(group, one_minus):
+    """One group's correlation-MST weights, built edge by edge: centred Gram,
+    G / sqrt(Gii * Gjj), then the package's Kruskal."""
+    n, p = group.shape
+    mean = np.zeros(p)
+    for r in range(n):
+        mean += group[r]
+    mean /= n
+    centred = group - mean
+    gram = np.dot(centred.T.copy(), centred)
+    edges = []
+    for i in range(p):
+        for j in range(i + 1, p):
+            corr = gram[i, j] / np.sqrt(gram[i, i] * gram[j, j])
+            edges.append((i, j, 1.0 - corr if one_minus else corr))
+    g = mst.WeightedGraph(tuple(f"n{k}" for k in range(p)), tuple(edges))
+    tree = mst.kruskal_mst(g).tree_edges
+    return MonotoneSequence(tuple(sorted(w for _, _, w in tree)), strict=False)
 
 
-def test_env_flag_selects_backend_and_results_agree():
-    pytest.importorskip("numba")
-    numba_out = run_with_env(no_numba=False)
-    numpy_out = run_with_env(no_numba=True)
-    assert numba_out[0] == "numba"
-    assert numpy_out[0] == "numpy"
-    assert numba_out[1:] == numpy_out[1:]
+def reference_null(pooled, perms, one_minus):
+    n = perms.shape[1] // 2
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sigma = 0 ties warn
+        for perm in perms:
+            wa = reference_sorted_weights(pooled[perm[:n]], one_minus)
+            wb = reference_sorted_weights(pooled[perm[n:]], one_minus)
+            out.append(discrepancy(wa, wb).d)
+    return np.array(out)
 
 
-def test_mst_kernel_matches_reference_kruskal():
-    rng = np.random.default_rng(77)
-    for _ in range(30):
-        p = int(rng.integers(3, 15))
-        iu, ju = np.triu_indices(p, k=1)
-        w = rng.uniform(0.1, 5.0, iu.size)
-        kernel_weights = _kernels.mst_sorted_weights(
-            iu.astype(np.int64), ju.astype(np.int64), w, p)
-        g = mst.WeightedGraph(
-            tuple(f"n{k}" for k in range(p)),
-            tuple((int(i), int(j), float(wk)) for i, j, wk in zip(iu, ju, w)))
-        ref = [wk for _, _, wk in mst.kruskal_mst(g).tree_edges]
-        assert np.allclose(kernel_weights, ref)
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+@pytest.mark.parametrize("one_minus", [False, True])
+def test_permutation_null_matches_per_relabeling_reference(sigma, one_minus):
+    n, p = 10, 40
+    a, b = simulate_modular_pair(n, p, 4, 8, sigma, RngStream(31, 0))
+    pooled = np.vstack([a.values, b.values])
+    rng = np.random.default_rng(32)
+    chunk = _kernels._CHUNK_CELLS // (2 * p * p)
+    # more than two chunks, the last one partial, and a lone relabeling
+    perms = np.array([rng.permutation(2 * n) for _ in range(2 * chunk + 3)])
+    for batch in (perms, perms[:1]):
+        got = _kernels.permutation_null(pooled, batch, one_minus)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_null(pooled, batch, one_minus))
 
 
 def test_discrepancy_kernel_matches_reference():
@@ -75,6 +68,14 @@ def test_discrepancy_kernel_matches_reference():
         assert not ties
 
 
+def test_discrepancy_kernel_terminates_on_nan():
+    # NaN equals nothing, not even itself; the scan used to stall on it.
+    a = np.array([0.1, 0.5, np.nan])
+    b = np.array([0.2, np.nan, np.nan])
+    d, _, _ = _kernels.discrepancy_sorted(a, b)
+    assert 0 <= d <= 3
+
+
 def test_group_mst_weights_matches_high_level_pipeline():
     from combinf.connectivity import DataMatrix, pearson_correlation_matrix
     from combinf.mst import WeightMode, mst_from_connectivity
@@ -82,10 +83,7 @@ def test_group_mst_weights_matches_high_level_pipeline():
     for _ in range(10):
         n, p = 10, int(rng.integers(4, 20))
         data = rng.standard_normal((n, p))
-        iu, ju = np.triu_indices(p, k=1)
-        kernel = _kernels.group_mst_weights(
-            np.ascontiguousarray(data), iu.astype(np.int64), ju.astype(np.int64),
-            True)
+        kernel = _kernels.sorted_mst_weights(data[None], True)[0]
         cm = pearson_correlation_matrix(DataMatrix(data))
         _, weights = mst_from_connectivity(cm, WeightMode.ONE_MINUS_SIMILARITY)
-        assert np.allclose(np.sort(kernel), weights.weights.values, atol=1e-10)
+        assert np.allclose(kernel, weights.weights.values, atol=1e-10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from combinf import simulation as sim
-from combinf.connectivity import pearson_correlation_matrix
+from combinf.connectivity import DataMatrix, pearson_correlation_matrix
 from combinf.errors import ValidationError
 
 
@@ -139,6 +139,19 @@ class TestPermutationTest:
         b = sim.simulate_modular_data(3, 6, 3, 0.1, sim.RngStream(8, 13))
         pv = sim.permutation_test(a, b, 15, sim.RngStream(8, 14), distinct=True)
         assert 0.0 <= pv <= 1.0
+
+    def test_constant_column_in_a_relabeling_is_named(self):
+        # Column 0 is not constant in either observed group, but the split
+        # {0, 1, 5} | {2, 3, 4} makes it constant in both.
+        rng = np.random.default_rng(33)
+        a = rng.standard_normal((3, 5))
+        b = rng.standard_normal((3, 5))
+        a[:, 0] = [0.0, 0.0, 1.0]
+        b[:, 0] = [1.0, 1.0, 0.0]
+        with pytest.raises(ValidationError,
+                           match="relabeling 3: column 0 is constant in group A"):
+            sim.permutation_test(DataMatrix(a), DataMatrix(b), 20,
+                                 sim.RngStream(8, 17), exhaustive=True)
 
     def test_too_few_permutations_rejected(self):
         a = sim.simulate_modular_data(3, 6, 2, 0.1, sim.RngStream(8, 15))
