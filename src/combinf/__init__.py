@@ -28,7 +28,6 @@ from .exact import (
 )
 from .mst import (
     MstComparison,
-    SortedEdgeWeights,
     SpanningForest,
     WeightedGraph,
     WeightMode,
@@ -55,9 +54,9 @@ __all__ = [
     "BandCountTable", "ConnectivityMatrix", "DataError", "DataMatrix",
     "DiscrepancyResult", "EnumerationLimitError", "ExactPValue",
     "ExperimentReport", "HeritabilityMap", "MonotoneSequence",
-    "MstComparison", "RngStream", "SimulationConfig", "SortedEdgeWeights",
-    "SpanningForest", "StepFunction", "TwinCohort", "ValidationError",
-    "WeightMode", "WeightedGraph", "binomial", "brute_force_pvalue",
+    "MstComparison", "RngStream", "SimulationConfig", "SpanningForest",
+    "StepFunction", "TwinCohort", "ValidationError", "WeightMode",
+    "WeightedGraph", "binomial", "brute_force_pvalue",
     "build_step_function", "compare_msts", "count_band_paths", "discrepancy",
     "exact_pvalue", "growth_curve", "heritability_index", "kernel_backend",
     "kruskal_mst", "localize_nodes", "mst_from_connectivity",

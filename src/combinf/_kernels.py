@@ -1,12 +1,16 @@
-"""Numeric kernels: the merged-sequence discrepancy, an edge-list Kruskal, and
-the correlation-MST discrepancy batched over relabelings.
+"""Numeric kernels: the correlation-MST statistic batched over groups, and an
+edge-list Kruskal.
 
-``mst_discrepancies`` is the one definition of the permutation statistic
-"two groups' data -> correlation -> sorted MST weights -> D_q": it takes a
-whole stack of group pairs and runs every step as array operations, with a
-dense Prim MST of p - 1 vectorised argmin steps. The observed statistic calls
-it with a stack of one; ``permutation_null`` feeds it relabelings of pooled
-data in chunks. All kernels are plain numpy, so ``backend()`` is "numpy".
+Two kernels are the one definition of the statistic that every caller uses:
+``sorted_mst_weights`` (data -> column correlations -> sorted MST weights, for
+a whole stack of groups, with a dense Prim MST of p - 1 vectorised argmin
+steps) and ``discrepancies`` (two rows of sorted weights -> D_q and the
+smallest merged value attaining it, absorbing values equal across the rows).
+``mst_discrepancies`` chains them for a stack of group pairs: the observed
+statistic calls it with a stack of one and ``permutation_null`` feeds it
+relabelings of pooled data in chunks. The exact combinatorial trial calls the
+two kernels directly, and ``exact.discrepancy`` calls ``discrepancies``. All
+kernels are plain numpy, so ``backend()`` is "numpy".
 """
 
 from __future__ import annotations
@@ -20,44 +24,6 @@ from .errors import ValidationError
 # temporaries stay in cache and peak memory does not grow with the count.
 # At n=10, p=40 a chunk of 10 relabelings timed fastest of 2**13..2**17.
 _CHUNK_CELLS = 2 ** 15
-
-
-def discrepancy_sorted(a, b):
-    """Max |#{a <= t} - #{b <= t}| over merged values of two sorted arrays.
-
-    Returns (d, argmax_value, ties) where argmax_value is the smallest value
-    attaining the max and ties is 1 when some value occurs in both arrays.
-    Every step consumes at least one element, so a NaN cannot stall the scan.
-    """
-    q = a.shape[0]
-    i = 0
-    j = 0
-    best = 0
-    best_t = a[0] if a[0] <= b[0] else b[0]
-    ties = 0
-    while i < q or j < q:
-        moved_a = moved_b = False
-        if i < q and (j == q or a[i] <= b[j]):
-            t = a[i]
-            i += 1
-            moved_a = True
-        else:
-            t = b[j]
-            j += 1
-            moved_b = True
-        while i < q and a[i] == t:
-            i += 1
-            moved_a = True
-        while j < q and b[j] == t:
-            j += 1
-            moved_b = True
-        if moved_a and moved_b:
-            ties = 1
-        diff = i - j if i >= j else j - i
-        if diff > best:
-            best = diff
-            best_t = t
-    return best, best_t, ties
 
 
 def mst_tree_indices(iu, ju, w, p):
@@ -90,16 +56,23 @@ def mst_tree_indices(iu, ju, w, p):
     return out[:cnt]
 
 
-def sorted_mst_weights(x, one_minus):
+def sorted_mst_weights(x, one_minus,
+                       describe=lambda k, j: f"column {j} is constant in group {k}"):
     """Sorted correlation-MST edge weights of each group in a stack.
 
     x is (m, n, p): m groups of n observations of p nodes. The edge weight is
     the column Pearson correlation, or 1 - correlation when one_minus is set,
     and the tree spans all p nodes. Returns an (m, p - 1) array. The column
     means are summed row by row and every Gram matrix is its own product, so
-    each weight is the same double as for that group alone. No column may be
-    constant within a group.
+    each weight is the same double as for that group alone. A column that is
+    constant within a group has no correlation: that raises ValidationError
+    with ``describe(k, j)`` for the first such column j, in group k.
     """
+    const = x.max(axis=1) == x.min(axis=1)
+    if const.any():
+        k, j = np.argwhere(const)[0]
+        raise ValidationError(
+            f"{describe(k, j)}, so its correlations are undefined")
     m, n, p = x.shape
     mean = np.zeros((m, p))
     for r in range(n):
@@ -133,8 +106,13 @@ def sorted_mst_weights(x, one_minus):
 
 def discrepancies(wa, wb):
     """Max step-function gap for each row pair of two (m, q) arrays of
-    sorted weights, absorbing values equal across the two rows as
-    ``discrepancy_sorted`` does."""
+    sorted weights, and the smallest merged value attaining it.
+
+    Returns (d, at): an int64 array of the m gaps and a float array of the
+    values. The gap is evaluated after all values equal to a merged value
+    have been counted in both rows, so values shared by the two rows are
+    absorbed jointly and identical rows give 0.
+    """
     m, q = wa.shape
     merged = np.concatenate([wa, wb], axis=1)
     order = np.argsort(merged, axis=1, kind="stable")
@@ -143,7 +121,10 @@ def discrepancies(wa, wb):
     # Only the last element of each run of equal values ends a step.
     run_end = np.ones((m, 2 * q), dtype=bool)
     run_end[:, :-1] = values[:, 1:] != values[:, :-1]
-    return np.max(gap * run_end, axis=1)
+    step_gap = gap * run_end
+    first = step_gap.argmax(axis=1)
+    rows = np.arange(m)
+    return step_gap[rows, first], values[rows, first]
 
 
 def mst_discrepancies(x, one_minus, first=0):
@@ -155,14 +136,11 @@ def mst_discrepancies(x, one_minus, first=0):
     the pair, by its index plus ``first``, the group and the column.
     """
     m, _, n, p = x.shape
-    const = x.max(axis=2) == x.min(axis=2)
-    if const.any():
-        k, g, j = np.argwhere(const)[0]
-        raise ValidationError(
-            f"relabeling {first + k}: column {j} is constant in group "
-            f"{'AB'[g]}, so its correlations are undefined")
-    w = sorted_mst_weights(x.reshape(2 * m, n, p), one_minus)
-    return discrepancies(w[0::2], w[1::2])
+    w = sorted_mst_weights(
+        x.reshape(2 * m, n, p), one_minus,
+        lambda k, j: (f"relabeling {first + k // 2}: column {j} is constant "
+                      f"in group {'AB'[k % 2]}"))
+    return discrepancies(w[0::2], w[1::2])[0]
 
 
 def permutation_null(Z, perms, one_minus):

@@ -121,8 +121,8 @@ def pearson_correlation_matrix(data: DataMatrix | np.ndarray,
         labels = labels or data.labels
     else:
         values = np.asarray(data, dtype=np.float64)
-    stds = values.std(axis=0)
-    zero = np.flatnonzero(stds == 0)
+    # max == min, not std == 0: a column of 0.1s has std 1.4e-17.
+    zero = np.flatnonzero(values.max(axis=0) == values.min(axis=0))
     if zero.size:
         raise ValidationError(f"column {zero[0]} has zero variance")
     corr = np.corrcoef(values, rowvar=False)

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._kernels import discrepancy_sorted
+from ._kernels import discrepancies
 from .errors import EnumerationLimitError, ValidationError
 
 BRUTE_FORCE_MAX_Q = 12
@@ -157,9 +157,8 @@ def discrepancy(seq_a: MonotoneSequence, seq_b: MonotoneSequence) -> Discrepancy
         raise ValidationError(
             f"sequences must have equal length, got {seq_a.q} and {seq_b.q}"
         )
-    a = np.asarray(seq_a.values, dtype=np.float64)
-    b = np.asarray(seq_b.values, dtype=np.float64)
-    d, loc, ties = discrepancy_sorted(a, b)
+    d, loc = discrepancies(np.array([seq_a.values]), np.array([seq_b.values]))
+    ties = not set(seq_a.values).isdisjoint(seq_b.values)
     if ties:
         warnings.warn(
             "values shared across both sequences were absorbed jointly; "
@@ -167,8 +166,8 @@ def discrepancy(seq_a: MonotoneSequence, seq_b: MonotoneSequence) -> Discrepancy
             TieWarning,
             stacklevel=2,
         )
-    return DiscrepancyResult(d=int(d), argmax_location=float(loc), q=seq_a.q,
-                             ties_absorbed=bool(ties))
+    return DiscrepancyResult(d=int(d[0]), argmax_location=float(loc[0]),
+                             q=seq_a.q, ties_absorbed=ties)
 
 
 def _validate_qd(q: int, d: int, d_min: int) -> None:

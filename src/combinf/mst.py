@@ -59,27 +59,12 @@ class SpanningForest:
     def p(self) -> int:
         return len(self.node_labels)
 
-    def sorted_weights(self) -> "SortedEdgeWeights":
-        ws = sorted(w for _, _, w in self.tree_edges)
-        return SortedEdgeWeights(exact.MonotoneSequence(tuple(ws), strict=False))
-
-
-@dataclass(frozen=True)
-class SortedEdgeWeights:
-    """The ordered tree edge weights w_1 <= ... <= w_{p-1}.
-
-    Built tie-tolerant: real correlation data can tie, and the discrepancy
-    statistic absorbs ties (flagging the result)."""
-
-    weights: exact.MonotoneSequence
-
-    @property
-    def q(self) -> int:
-        return self.weights.q
-
-    @property
-    def has_ties(self) -> bool:
-        return self.weights.has_ties
+    def sorted_weights(self) -> exact.MonotoneSequence:
+        """The tree edge weights w_1 <= ... <= w_{p-1}, tie-tolerant: real
+        correlation data can tie, and the discrepancy statistic absorbs ties
+        (flagging the result)."""
+        return exact.MonotoneSequence(
+            tuple(sorted(w for _, _, w in self.tree_edges)), strict=False)
 
 
 @dataclass(frozen=True)
@@ -156,7 +141,7 @@ def _validate_square_symmetric(values: np.ndarray, tol: float = 1e-9) -> None:
 
 
 def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
-                          ) -> tuple[SpanningForest, SortedEdgeWeights]:
+                          ) -> tuple[SpanningForest, exact.MonotoneSequence]:
     """Build the spanning tree of a connectivity matrix.
 
     distance: entries are edge weights directly (exact zeros = absent edges).
@@ -198,14 +183,10 @@ def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
     return forest, forest.sorted_weights()
 
 
-def compare_msts(weights_a: SortedEdgeWeights, weights_b: SortedEdgeWeights,
-                 ) -> MstComparison:
+def compare_msts(weights_a: exact.MonotoneSequence,
+                 weights_b: exact.MonotoneSequence) -> MstComparison:
     """Exact test of equality of two trees' sorted weight sequences."""
-    if weights_a.q != weights_b.q:
-        raise ValidationError(
-            f"weight sequences differ in length: {weights_a.q} vs {weights_b.q}"
-        )
-    res = exact.discrepancy(weights_a.weights, weights_b.weights)
+    res = exact.discrepancy(weights_a, weights_b)
     pv = exact.exact_pvalue(res.q, res.d)
     return MstComparison(d=res.d, argmax_weight=res.argmax_location, p_value=pv,
                          q=res.q, ties_absorbed=res.ties_absorbed)
@@ -227,6 +208,6 @@ def localize_nodes(mst_a: SpanningForest, mst_b: SpanningForest,
     return sorted(out)
 
 
-def growth_curve(w: SortedEdgeWeights) -> list[tuple[float, int]]:
+def growth_curve(w: exact.MonotoneSequence) -> list[tuple[float, int]]:
     """Step-function plot points (w_j, j): edges added by each weight."""
-    return [(float(v), j + 1) for j, v in enumerate(w.weights.values)]
+    return [(float(v), j + 1) for j, v in enumerate(w.values)]

@@ -12,9 +12,9 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels
-from .connectivity import DataMatrix, pearson_correlation_matrix
+from .connectivity import DataMatrix
 from .errors import ValidationError
-from .mst import WeightMode, compare_msts, mst_from_connectivity
+from .exact import exact_pvalue
 
 DEFAULT_PAIRINGS = ((0, 0), (4, 4), (4, 5), (4, 8), (5, 10))
 EXHAUSTIVE_SPACE_LIMIT = 100_000
@@ -237,23 +237,26 @@ def observed_discrepancy(group_a: DataMatrix, group_b: DataMatrix,
 def run_combinatorial_trial(group_a: DataMatrix, group_b: DataMatrix,
                             weight_mode: str = "one_minus") -> float:
     """Exact p-value for the MST shape difference between two groups:
-    correlation -> MST edge weights -> discrepancy -> exact null."""
+    correlation -> MST edge weights -> discrepancy -> exact null. The groups
+    may differ in n. A column that is constant within a group raises
+    ValidationError naming it."""
     if group_a.p != group_b.p:
         raise ValidationError(
             f"groups differ in node count: {group_a.p} vs {group_b.p}")
-    mode = (WeightMode.ONE_MINUS_SIMILARITY if _one_minus_flag(weight_mode)
-            else WeightMode.DISTANCE)
-    ca = pearson_correlation_matrix(group_a)
-    cb = pearson_correlation_matrix(group_b)
-    _, wa = mst_from_connectivity(ca, mode)
-    _, wb = mst_from_connectivity(cb, mode)
-    return compare_msts(wa, wb).p_value.real_value
+    one_minus = _one_minus_flag(weight_mode)
+    wa = _kernels.sorted_mst_weights(
+        group_a.values[None], one_minus,
+        lambda k, j: f"column {j} is constant in group A")
+    wb = _kernels.sorted_mst_weights(
+        group_b.values[None], one_minus,
+        lambda k, j: f"column {j} is constant in group B")
+    d, _ = _kernels.discrepancies(wa, wb)
+    return exact_pvalue(group_a.p - 1, int(d[0])).real_value
 
 
 def permutation_test(group_a: DataMatrix, group_b: DataMatrix,
                      num_permutations: int, stream: RngStream,
-                     add_one: bool = False, distinct: bool = False,
-                     exhaustive: bool = False,
+                     add_one: bool = False, exhaustive: bool = False,
                      weight_mode: str = "one_minus") -> float:
     """Sampled permutation baseline: relabel the pooled 2n rows into two
     groups of n, recompute correlations, MSTs, and the discrepancy each time.
@@ -291,19 +294,8 @@ def permutation_test(group_a: DataMatrix, group_b: DataMatrix,
              for sel in combinations(range(2 * n), n)], dtype=np.int64)
     else:
         rng = stream.generator()
-        if distinct:
-            seen = set()
-            rows = []
-            while len(rows) < num_permutations:
-                perm = rng.permutation(2 * n)
-                key = tuple(sorted(perm[:n]))
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(perm)
-            perms = np.array(rows, dtype=np.int64)
-        else:
-            perms = np.array([rng.permutation(2 * n)
-                              for _ in range(num_permutations)], dtype=np.int64)
+        perms = np.array([rng.permutation(2 * n)
+                          for _ in range(num_permutations)], dtype=np.int64)
     null = _kernels.permutation_null(pooled, perms, one_minus)
     hits = int(np.count_nonzero(null >= d_obs))
     if add_one:

@@ -37,10 +37,12 @@ class TestPearson:
         assert cm.values[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_zero_variance_named(self):
-        x = np.random.default_rng(2).standard_normal((10, 3))
-        x[:, 1] = 7.0
-        with pytest.raises(ValidationError, match="column 1"):
-            conn.pearson_correlation_matrix(x)
+        # A column of 0.1s has std 1.4e-17, not 0: 0.1 is not a binary fraction.
+        for value in (7.0, 0.1):
+            x = np.random.default_rng(2).standard_normal((10, 3))
+            x[:, 1] = value
+            with pytest.raises(ValidationError, match="column 1"):
+                conn.pearson_correlation_matrix(x)
 
     def test_symmetric_unit_diagonal_bounded(self):
         rng = np.random.default_rng(3)

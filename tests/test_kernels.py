@@ -1,10 +1,7 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from combinf import _kernels, mst
-from combinf.exact import MonotoneSequence, discrepancy
 from combinf.simulation import RngStream, simulate_modular_pair
 
 
@@ -24,20 +21,25 @@ def reference_sorted_weights(group, one_minus):
             corr = gram[i, j] / np.sqrt(gram[i, i] * gram[j, j])
             edges.append((i, j, 1.0 - corr if one_minus else corr))
     g = mst.WeightedGraph(tuple(f"n{k}" for k in range(p)), tuple(edges))
-    tree = mst.kruskal_mst(g).tree_edges
-    return MonotoneSequence(tuple(sorted(w for _, _, w in tree)), strict=False)
+    return np.sort([w for _, _, w in mst.kruskal_mst(g).tree_edges])
+
+
+def reference_gap(a, b):
+    """D and the smallest value attaining it, by evaluating both step
+    functions #{a <= t} and #{b <= t} at every merged value t."""
+    merged = np.unique(np.concatenate([a, b]))
+    gap = np.abs(np.searchsorted(a, merged, side="right")
+                 - np.searchsorted(b, merged, side="right"))
+    k = int(np.argmax(gap))
+    return int(gap[k]), float(merged[k])
 
 
 def reference_null(pooled, perms, one_minus):
     n = perms.shape[1] // 2
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # sigma = 0 ties warn
-        for perm in perms:
-            wa = reference_sorted_weights(pooled[perm[:n]], one_minus)
-            wb = reference_sorted_weights(pooled[perm[n:]], one_minus)
-            out.append(discrepancy(wa, wb).d)
-    return np.array(out)
+    return np.array([
+        reference_gap(reference_sorted_weights(pooled[perm[:n]], one_minus),
+                      reference_sorted_weights(pooled[perm[n:]], one_minus))[0]
+        for perm in perms])
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
@@ -58,22 +60,27 @@ def test_permutation_null_matches_per_relabeling_reference(sigma, one_minus):
 
 def test_discrepancy_kernel_matches_reference():
     rng = np.random.default_rng(78)
-    for _ in range(50):
-        q = int(rng.integers(1, 25))
-        a = np.sort(rng.standard_normal(q))
-        b = np.sort(rng.standard_normal(q))
-        d, loc, ties = _kernels.discrepancy_sorted(a, b)
-        res = discrepancy(MonotoneSequence(tuple(a)), MonotoneSequence(tuple(b)))
-        assert (int(d), float(loc)) == (res.d, res.argmax_location)
-        assert not ties
+    for trial in range(300):
+        m, q = int(rng.integers(1, 6)), int(rng.integers(1, 25))
+        if trial % 2:
+            # a small integer grid forces ties within a row and across rows
+            wa, wb = (np.sort(rng.integers(0, 6, (m, q)), axis=1).astype(float)
+                      for _ in range(2))
+        else:
+            wa, wb = (np.sort(rng.standard_normal((m, q)), axis=1)
+                      for _ in range(2))
+        d, at = _kernels.discrepancies(wa, wb)
+        assert d.dtype == np.int64
+        for k in range(m):
+            assert (int(d[k]), float(at[k])) == reference_gap(wa[k], wb[k])
 
 
 def test_discrepancy_kernel_terminates_on_nan():
-    # NaN equals nothing, not even itself; the scan used to stall on it.
-    a = np.array([0.1, 0.5, np.nan])
-    b = np.array([0.2, np.nan, np.nan])
-    d, _, _ = _kernels.discrepancy_sorted(a, b)
-    assert 0 <= d <= 3
+    # NaN equals nothing, not even itself, so each NaN ends its own run.
+    a = np.array([[0.1, 0.5, np.nan]])
+    b = np.array([[0.2, np.nan, np.nan]])
+    d, _ = _kernels.discrepancies(a, b)
+    assert 0 <= d[0] <= 3
 
 
 def test_group_mst_weights_matches_high_level_pipeline():
@@ -86,4 +93,4 @@ def test_group_mst_weights_matches_high_level_pipeline():
         kernel = _kernels.sorted_mst_weights(data[None], True)[0]
         cm = pearson_correlation_matrix(DataMatrix(data))
         _, weights = mst_from_connectivity(cm, WeightMode.ONE_MINUS_SIMILARITY)
-        assert np.allclose(kernel, weights.weights.values, atol=1e-10)
+        assert np.allclose(kernel, weights.values, atol=1e-10)

@@ -110,7 +110,7 @@ class TestFromConnectivity:
         np.fill_diagonal(values, 1.0)
         cm = ConnectivityMatrix(tuple("abcde"), values)
         _, weights = mst.mst_from_connectivity(cm, "one_minus_similarity")
-        assert all(w == 0.5 for w in weights.weights.values)
+        assert all(w == 0.5 for w in weights.values)
 
     def test_max_tree_matches_one_minus(self):
         rng = np.random.default_rng(17)
@@ -147,7 +147,7 @@ class TestFromConnectivity:
 
 class TestCompare:
     def test_identical(self):
-        w = mst.SortedEdgeWeights(exact.MonotoneSequence((0.1, 0.2, 0.7)))
+        w = exact.MonotoneSequence((0.1, 0.2, 0.7))
         with pytest.warns(exact.TieWarning):
             cmp = mst.compare_msts(w, w)
         assert cmp.d == 0
@@ -155,8 +155,8 @@ class TestCompare:
         assert cmp.ties_absorbed
 
     def test_disjoint_supports(self):
-        wa = mst.SortedEdgeWeights(exact.MonotoneSequence((0.1, 0.2, 0.3)))
-        wb = mst.SortedEdgeWeights(exact.MonotoneSequence((0.4, 0.5, 0.6)))
+        wa = exact.MonotoneSequence((0.1, 0.2, 0.3))
+        wb = exact.MonotoneSequence((0.4, 0.5, 0.6))
         cmp = mst.compare_msts(wa, wb)
         assert cmp.d == 3
         assert cmp.p_value.real_value == pytest.approx(0.1)
@@ -165,18 +165,16 @@ class TestCompare:
         rng = np.random.default_rng(23)
         for _ in range(30):
             q = int(rng.integers(1, 20))
-            wa = mst.SortedEdgeWeights(
-                exact.MonotoneSequence(tuple(np.sort(rng.standard_normal(q)))))
-            wb = mst.SortedEdgeWeights(
-                exact.MonotoneSequence(tuple(np.sort(rng.standard_normal(q)))))
+            wa = exact.MonotoneSequence(tuple(np.sort(rng.standard_normal(q))))
+            wb = exact.MonotoneSequence(tuple(np.sort(rng.standard_normal(q))))
             ab = mst.compare_msts(wa, wb)
             ba = mst.compare_msts(wb, wa)
             assert ab.d == ba.d
             assert ab.p_value == ba.p_value
 
     def test_length_mismatch(self):
-        wa = mst.SortedEdgeWeights(exact.MonotoneSequence((0.1,)))
-        wb = mst.SortedEdgeWeights(exact.MonotoneSequence((0.1, 0.2)))
+        wa = exact.MonotoneSequence((0.1,))
+        wb = exact.MonotoneSequence((0.1, 0.2))
         with pytest.raises(ValidationError):
             mst.compare_msts(wa, wb)
 
@@ -214,5 +212,5 @@ class TestLocalize:
 
 class TestGrowthCurve:
     def test_points(self):
-        w = mst.SortedEdgeWeights(exact.MonotoneSequence((0.1, 0.4, 0.9)))
+        w = exact.MonotoneSequence((0.1, 0.4, 0.9))
         assert mst.growth_curve(w) == [(0.1, 1), (0.4, 2), (0.9, 3)]

@@ -6,6 +6,8 @@ import pytest
 from combinf import simulation as sim
 from combinf.connectivity import DataMatrix, pearson_correlation_matrix
 from combinf.errors import ValidationError
+from combinf.exact import exact_pvalue
+from combinf.mst import WeightMode, compare_msts, mst_from_connectivity
 
 
 class TestRngStream:
@@ -92,11 +94,35 @@ class TestCombinatorialTrial:
         assert sim.run_combinatorial_trial(data, data) == 1.0
 
     def test_observed_discrepancy_matches_high_level(self):
-        a = sim.simulate_modular_data(10, 20, 4, 0.1, sim.RngStream(5, 1))
-        b = sim.simulate_modular_data(10, 20, 5, 0.1, sim.RngStream(5, 2))
-        from combinf.exact import exact_pvalue
-        d = sim.observed_discrepancy(a, b)
-        assert sim.run_combinatorial_trial(a, b) == exact_pvalue(19, d).real_value
+        # At sigma = 0 the columns within a module are bit-identical, so
+        # their one_minus weights are exact zeros in both groups.
+        for sigma in (0.0, 0.1):
+            a, b = sim.simulate_modular_pair(10, 40, 4, 5, sigma,
+                                             sim.RngStream(9, 0))
+            for mode in sim.WEIGHT_MODES:
+                d = sim.observed_discrepancy(a, b, mode)
+                assert (sim.run_combinatorial_trial(a, b, mode)
+                        == exact_pvalue(39, d).real_value), (sigma, mode)
+
+    def test_groups_may_differ_in_n(self):
+        a = sim.simulate_modular_data(8, 20, 4, 0.1, sim.RngStream(5, 3))
+        b = sim.simulate_modular_data(13, 20, 5, 0.1, sim.RngStream(5, 4))
+        _, wa = mst_from_connectivity(pearson_correlation_matrix(a),
+                                      WeightMode.ONE_MINUS_SIMILARITY)
+        _, wb = mst_from_connectivity(pearson_correlation_matrix(b),
+                                      WeightMode.ONE_MINUS_SIMILARITY)
+        assert (sim.run_combinatorial_trial(a, b)
+                == compare_msts(wa, wb).p_value.real_value)
+
+    def test_constant_column_is_named(self):
+        # 0.1 is not a binary fraction, so this column's std is 1.4e-17.
+        rng = np.random.default_rng(34)
+        a = rng.standard_normal((10, 4))
+        b = rng.standard_normal((10, 4))
+        b[:, 1] = 0.1
+        with pytest.raises(ValidationError,
+                           match="column 1 is constant in group B"):
+            sim.run_combinatorial_trial(DataMatrix(a), DataMatrix(b))
 
 
 class TestPermutationTest:
@@ -133,12 +159,6 @@ class TestPermutationTest:
         plain = sim.permutation_test(a, b, 40, sim.RngStream(8, 11))
         corrected = sim.permutation_test(a, b, 40, sim.RngStream(8, 11), add_one=True)
         assert corrected == pytest.approx((plain * 40 + 1) / 41)
-
-    def test_distinct_sampling(self):
-        a = sim.simulate_modular_data(3, 6, 2, 0.1, sim.RngStream(8, 12))
-        b = sim.simulate_modular_data(3, 6, 3, 0.1, sim.RngStream(8, 13))
-        pv = sim.permutation_test(a, b, 15, sim.RngStream(8, 14), distinct=True)
-        assert 0.0 <= pv <= 1.0
 
     def test_constant_column_in_a_relabeling_is_named(self):
         # Column 0 is not constant in either observed group, but the split
