@@ -1,16 +1,16 @@
-"""Numeric kernels: the correlation-MST statistic batched over groups, and an
-edge-list Kruskal.
+"""Numeric kernels: one spanning-tree routine and the correlation-MST
+statistic batched over groups.
 
-Two kernels are the one definition of the statistic that every caller uses:
-``sorted_mst_weights`` (data -> column correlations -> sorted MST weights, for
-a whole stack of groups, with a dense Prim MST of p - 1 vectorised argmin
-steps) and ``discrepancies`` (two rows of sorted weights -> D_q and the
-smallest merged value attaining it, absorbing values equal across the rows).
-``mst_discrepancies`` chains them for a stack of group pairs: the observed
-statistic calls it with a stack of one and ``permutation_null`` feeds it
-relabelings of pooled data in chunks. The exact combinatorial trial calls the
-two kernels directly, and ``exact.discrepancy`` calls ``discrepancies``. All
-kernels are plain numpy, so ``backend()`` is "numpy".
+``prim_sorted_keys`` (a dense Prim of p - 1 vectorised argmin steps over a
+stack of key matrices) is the package's only MST routine. Two kernels are the
+one definition of the statistic: ``sorted_mst_weights`` (data -> column
+correlations -> sorted MST weights, for a stack of groups) and
+``discrepancies`` (two rows of sorted weights -> D_q and the smallest merged
+value attaining it, absorbing values equal across the rows).
+``mst_discrepancies`` chains them for a stack of group pairs, for the observed
+statistic and ``permutation_null``; the exact combinatorial trial and
+``exact.discrepancy`` call them directly, and ``mst.mst_from_connectivity``
+calls ``prim_sorted_keys`` on edge ranks. All kernels are plain numpy.
 """
 
 from __future__ import annotations
@@ -26,34 +26,30 @@ from .errors import ValidationError
 _CHUNK_CELLS = 2 ** 15
 
 
-def mst_tree_indices(iu, ju, w, p):
-    """Kruskal on an edge list; returns the tree's edge-list indices in
-    insertion order.
+def prim_sorted_keys(w):
+    """Sorted keys of the edges a dense Prim from node 0 takes, for each
+    p x p key matrix in an (m, p, p) stack; returns an (m, p - 1) array.
 
-    Edges must be listed with i < j in lexicographic order so that the stable
-    sort breaks weight ties by (min endpoint, max endpoint).
+    Only the off-diagonal keys are read, and w is overwritten. A graph whose
+    keys are all distinct has exactly one MST, so with edge ranks as keys the
+    sorted result lists Kruskal's tree in insertion order; every MST has the
+    same multiset of keys, so with tied weights as keys the sorted result
+    does not depend on tie order.
     """
-    order = np.argsort(w, kind="mergesort")
-    parent = np.arange(p)
-    out = np.empty(p - 1, dtype=np.int64)
-    cnt = 0
-    for e in range(order.shape[0]):
-        idx = order[e]
-        a = iu[idx]
-        b = ju[idx]
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-            out[cnt] = idx
-            cnt += 1
-            if cnt == p - 1:
-                break
-    return out[:cnt]
+    m, p, _ = w.shape
+    rows = np.arange(m)
+    dist = w[:, 0].copy()
+    dist[:, 0] = np.inf
+    w[:, :, 0] = np.inf
+    out = np.empty((m, p - 1))
+    for step in range(p - 1):
+        v = dist.argmin(axis=1)
+        out[:, step] = dist[rows, v]
+        dist[rows, v] = np.inf
+        w[rows, :, v] = np.inf
+        np.minimum(dist, w[rows, v], out=dist)
+    out.sort(axis=1)
+    return out
 
 
 def sorted_mst_weights(x, one_minus,
@@ -86,22 +82,7 @@ def sorted_mst_weights(x, one_minus,
     # Mirror the upper triangle: the product need not be exactly symmetric.
     w = np.where(np.triu(np.ones((p, p), dtype=bool), 1), w,
                  w.transpose(0, 2, 1))
-
-    # Dense Prim from node 0. Every MST of a graph has the same multiset of
-    # weights, so the sorted tree weights do not depend on tie order.
-    rows = np.arange(m)
-    dist = w[:, 0].copy()
-    dist[:, 0] = np.inf
-    w[:, :, 0] = np.inf
-    out = np.empty((m, p - 1))
-    for step in range(p - 1):
-        v = dist.argmin(axis=1)
-        out[:, step] = dist[rows, v]
-        dist[rows, v] = np.inf
-        w[rows, :, v] = np.inf
-        np.minimum(dist, w[rows, v], out=dist)
-    out.sort(axis=1)
-    return out
+    return prim_sorted_keys(w)
 
 
 def discrepancies(wa, wb):

@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -61,9 +62,20 @@ def _write_step_csv(path, curve_a, curve_b, label_a, label_b) -> None:
 
 def _compare_report(ma, mb, mode, name_a, name_b, localize_center=None,
                     localize_radius=None, svg=None, csv_out=None) -> int:
-    forest_a, weights_a = mst.mst_from_connectivity(ma, mode)
-    forest_b, weights_b = mst.mst_from_connectivity(mb, mode)
-    cmp = mst.compare_msts(weights_a, weights_b)
+    forest_a = mst.mst_from_connectivity(ma, mode)
+    forest_b = mst.mst_from_connectivity(mb, mode)
+    # distance mode leaves out zero entries, so a graph can be disconnected
+    if (forest_a.component_count != forest_b.component_count
+            or not forest_a.tree_edges):
+        raise DataError(
+            "spanning forests need the same, nonzero number of edges: "
+            f"{name_a} has {forest_a.component_count} component(s), "
+            f"{name_b} has {forest_b.component_count} component(s)")
+    weights_a, weights_b = forest_a.sorted_weights(), forest_b.sorted_weights()
+    with warnings.catch_warnings():
+        # reported once, below, without the library warning's source line
+        warnings.simplefilter("ignore", exact.TieWarning)
+        cmp = mst.compare_msts(weights_a, weights_b)
     print(f"q = {cmp.q}")
     print(f"D = {cmp.d} at weight {cmp.argmax_weight:.6g}")
     print(f"p-value = {_format_pvalue(cmp.p_value)}")

@@ -11,6 +11,9 @@ from scipy.stats import rankdata
 
 from .errors import ValidationError
 
+# Largest |a_ij - a_ji| of a symmetric connectivity matrix or matrix CSV.
+SYMMETRY_TOL = 1e-9
+
 
 class DegenerateEdgeWarning(UserWarning):
     """An edge's values are constant across twin pairs; its correlation is
@@ -63,10 +66,16 @@ class ConnectivityMatrix:
         if len(self.labels) != values.shape[0]:
             raise ValidationError(
                 f"{len(self.labels)} labels for {values.shape[0]} nodes")
-        if not np.isfinite(values).all():
-            raise ValidationError("connectivity matrix contains non-finite entries")
-        if np.abs(values - values.T).max(initial=0.0) > 1e-9:
-            raise ValidationError("connectivity matrix is not symmetric")
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            i, j = bad[0]
+            raise ValidationError(f"non-finite entry at ({i},{j})")
+        bad = np.argwhere(np.abs(values - values.T) > SYMMETRY_TOL)
+        if bad.size:
+            i, j = bad[0]
+            raise ValidationError(
+                f"matrix not symmetric at ({i},{j}): "
+                f"{values[i, j]!r} vs {values[j, i]!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "values", values)
 

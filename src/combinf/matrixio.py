@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .connectivity import ConnectivityMatrix, TwinCohort
+from .connectivity import SYMMETRY_TOL, ConnectivityMatrix, TwinCohort
 from .errors import DataError
 
 
@@ -22,7 +22,7 @@ def _parse_cell(token: str, row: int, col: int) -> float:
         ) from None
 
 
-def read_matrix_csv(path, sym_tol: float = 1e-9) -> ConnectivityMatrix:
+def read_matrix_csv(path) -> ConnectivityMatrix:
     """Read a square numeric CSV, with an optional first header row of node
     labels (detected when any first-row token is non-numeric)."""
     path = Path(path)
@@ -68,12 +68,11 @@ def read_matrix_csv(path, sym_tol: float = 1e-9) -> ConnectivityMatrix:
     elif len(labels) != p:
         raise DataError(
             f"{path}: {len(labels)} header labels for {p} data rows")
-    asym = np.abs(values - values.T)
-    bad = np.argwhere(asym > sym_tol)
+    bad = np.argwhere(np.abs(values - values.T) > SYMMETRY_TOL)
     if bad.size:
         i, j = bad[0]
         raise DataError(
-            f"{path}: matrix not symmetric at ({i},{j}) within {sym_tol}: "
+            f"{path}: matrix not symmetric at ({i},{j}) within {SYMMETRY_TOL}: "
             f"{values[i, j]!r} vs {values[j, i]!r}")
     values = (values + values.T) / 2.0
     return ConnectivityMatrix(labels=labels, values=values)

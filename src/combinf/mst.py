@@ -1,5 +1,6 @@
-"""Minimum (and maximum) spanning trees from connectivity matrices, built
-with Kruskal's algorithm, plus comparison of two trees through the exact
+"""Minimum (and maximum) spanning trees from connectivity matrices, built by
+the null's dense Prim keyed by Kruskal's edge order (``kruskal_mst`` is the
+edge-list reference), plus comparison of two trees through the exact
 discrepancy test."""
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from enum import Enum
 import numpy as np
 
 from . import exact
-from ._kernels import mst_tree_indices
+from ._kernels import prim_sorted_keys
+from .connectivity import ConnectivityMatrix, _default_labels
 from .errors import ValidationError
 
 
@@ -124,63 +126,53 @@ def kruskal_mst(g: WeightedGraph) -> SpanningForest:
                           component_count=uf.components)
 
 
-def _validate_square_symmetric(values: np.ndarray, tol: float = 1e-9) -> None:
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {values.shape}")
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = bad[0]
-        raise ValidationError(f"non-finite entry at ({i},{j})")
-    asym = np.abs(values - values.T)
-    bad = np.argwhere(asym > tol)
-    if bad.size:
-        i, j = bad[0]
-        raise ValidationError(
-            f"matrix not symmetric at ({i},{j}): {values[i, j]!r} vs {values[j, i]!r}"
-        )
-
-
 def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
-                          ) -> tuple[SpanningForest, exact.MonotoneSequence]:
-    """Build the spanning tree of a connectivity matrix.
+                          ) -> SpanningForest:
+    """Kruskal's spanning forest of a connectivity matrix.
 
     distance: entries are edge weights directly (exact zeros = absent edges).
     one_minus_similarity: weight = 1 - entry, all off-diagonal pairs.
     max_tree: maximum spanning tree of the similarities (Kruskal on negated
     entries); reported weights are the original similarities.
+
+    Prim keyed by each edge's rank in a stable sort of the upper triangle,
+    all distinct, takes Kruskal's tree with ties broken by (i, j); absent
+    edges get key E, above every rank, and are dropped. Other input is
+    wrapped in a ConnectivityMatrix (labels V1..Vp for a bare array).
     """
     mode = WeightMode(mode)
-    values = np.asarray(conn.values if hasattr(conn, "values") else conn,
-                        dtype=np.float64)
-    labels = tuple(conn.labels) if hasattr(conn, "labels") else tuple(
-        f"V{k + 1}" for k in range(values.shape[0]))
-    _validate_square_symmetric(values)
-    p = values.shape[0]
+    if not isinstance(conn, ConnectivityMatrix):
+        values = np.asarray(getattr(conn, "values", conn), dtype=np.float64)
+        labels = getattr(conn, "labels", None) or _default_labels(len(values))
+        conn = ConnectivityMatrix(labels, values)
+    p = conn.p
     if p < 2:
         raise ValidationError(f"connectivity matrix needs p >= 2, got p={p}")
     iu, ju = np.triu_indices(p, k=1)
-    s = values[iu, ju]
+    s = conn.values[iu, ju]
+    edge = np.arange(s.size)
     if mode is WeightMode.DISTANCE:
-        keep = s != 0.0
-        iu, ju, w = iu[keep], ju[keep], s[keep]
-        report = w
+        edge = edge[s != 0.0]
+        w = report = s
     elif mode is WeightMode.ONE_MINUS_SIMILARITY:
-        w = 1.0 - s
-        report = w
+        w = report = 1.0 - s
     else:
-        w = -s
-        report = s
-    tree_idx = mst_tree_indices(iu.astype(np.int64), ju.astype(np.int64),
-                                np.ascontiguousarray(w), p)
-    edges = [(int(iu[t]), int(ju[t]), float(report[t])) for t in tree_idx]
+        w, report = -s, s
+    order = edge[np.argsort(w[edge], kind="stable")]
+    E = s.size
+    rank = np.full(E, float(E))
+    rank[order] = np.arange(order.size)
+    keys = np.empty((1, p, p))
+    keys[0, iu, ju] = keys[0, ju, iu] = rank
+    taken = prim_sorted_keys(keys)[0]
+    tree = order[taken[taken < E].astype(np.int64)]
+    edges = [(int(iu[t]), int(ju[t]), float(report[t])) for t in tree]
     if mode is WeightMode.MAX_TREE:
         # insertion order was by descending similarity; normalize to the
         # nondecreasing-weight convention of SpanningForest
         edges.sort(key=lambda e: (e[2], e[0], e[1]))
-    components = p - len(edges)
-    forest = SpanningForest(node_labels=labels, tree_edges=tuple(edges),
-                            component_count=components)
-    return forest, forest.sorted_weights()
+    return SpanningForest(node_labels=conn.labels, tree_edges=tuple(edges),
+                          component_count=p - len(edges))
 
 
 def compare_msts(weights_a: exact.MonotoneSequence,

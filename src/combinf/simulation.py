@@ -27,7 +27,7 @@ WEIGHT_MODES = ("correlation", "one_minus")
 
 @dataclass(frozen=True)
 class RngStream:
-    """Named, reproducible random stream: (algorithm, master seed, index).
+    """Named, reproducible PCG64 random stream: (master seed, index).
 
     Distinct stream indices yield statistically independent generators, so
     replications can run in any order (or in parallel) without changing
@@ -36,11 +36,8 @@ class RngStream:
 
     seed: int
     stream: int = 0
-    algorithm: str = "pcg64"
 
     def generator(self) -> np.random.Generator:
-        if self.algorithm != "pcg64":
-            raise ValidationError(f"unknown rng algorithm {self.algorithm!r}")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(ss))
 

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import combinf
 from combinf import cli
 from combinf.connectivity import ConnectivityMatrix, DataMatrix, pearson_correlation_matrix
 from combinf.errors import DataError
@@ -169,6 +173,44 @@ class TestCliCompare:
         out = capsys.readouterr().out
         assert "D = 3" in out
         assert "0.1" in out
+
+    @pytest.mark.parametrize("edges_b", [
+        [(0, 1), (2, 3)],  # 2 components against 1
+        [],                # no edges at all
+    ])
+    def test_disconnected_forests_of_unequal_size_exit_2(self, tmp_path, capsys,
+                                                          edges_b):
+        def write(name, edges):
+            values = np.zeros((4, 4))
+            for w, (i, j) in enumerate(edges, start=1):
+                values[i, j] = values[j, i] = w
+            path = tmp_path / f"{name}.csv"
+            write_matrix_csv(ConnectivityMatrix(tuple("abcd"), values), path)
+            return str(path)
+
+        pa = write("A", [(0, 1), (1, 2), (2, 3)])
+        pb = write("B", edges_b)
+        assert cli.main(["compare", pa, pb]) == 2
+        err = capsys.readouterr().err
+        assert "A has 1 component(s)" in err
+        assert f"B has {4 - len(edges_b)} component(s)" in err
+        # forests of equal size compare
+        assert cli.main(["compare", pb, pb]) == (0 if edges_b else 2)
+        capsys.readouterr()
+
+    def test_tie_warning_printed_once(self, rng, tmp_path):
+        # A subprocess, so that stderr is what a user sees: pytest would
+        # capture a library warning instead of printing it.
+        pa, _ = self.write_pair(rng, tmp_path)
+        src = os.path.dirname(os.path.dirname(combinf.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "combinf.cli", "compare", str(pa), str(pa),
+             "--mode", "one-minus"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0
+        assert done.stderr.count("tied weights") == 1
+        assert "TieWarning" not in done.stderr
 
     def test_outputs_deterministic(self, rng, tmp_path, capsys):
         pa, pb = self.write_pair(rng, tmp_path)

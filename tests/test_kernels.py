@@ -92,5 +92,6 @@ def test_group_mst_weights_matches_high_level_pipeline():
         data = rng.standard_normal((n, p))
         kernel = _kernels.sorted_mst_weights(data[None], True)[0]
         cm = pearson_correlation_matrix(DataMatrix(data))
-        _, weights = mst_from_connectivity(cm, WeightMode.ONE_MINUS_SIMILARITY)
+        weights = mst_from_connectivity(
+            cm, WeightMode.ONE_MINUS_SIMILARITY).sorted_weights()
         assert np.allclose(kernel, weights.values, atol=1e-10)

@@ -109,7 +109,8 @@ class TestFromConnectivity:
         values = np.full((p, p), 0.5)
         np.fill_diagonal(values, 1.0)
         cm = ConnectivityMatrix(tuple("abcde"), values)
-        _, weights = mst.mst_from_connectivity(cm, "one_minus_similarity")
+        forest = mst.mst_from_connectivity(cm, "one_minus_similarity")
+        weights = forest.sorted_weights()
         assert all(w == 0.5 for w in weights.values)
 
     def test_max_tree_matches_one_minus(self):
@@ -120,8 +121,8 @@ class TestFromConnectivity:
             s = (s + s.T) / 2
             np.fill_diagonal(s, 1.0)
             cm = ConnectivityMatrix(tuple(f"n{k}" for k in range(p)), s)
-            f1, _ = mst.mst_from_connectivity(cm, mst.WeightMode.ONE_MINUS_SIMILARITY)
-            f2, _ = mst.mst_from_connectivity(cm, mst.WeightMode.MAX_TREE)
+            f1 = mst.mst_from_connectivity(cm, mst.WeightMode.ONE_MINUS_SIMILARITY)
+            f2 = mst.mst_from_connectivity(cm, mst.WeightMode.MAX_TREE)
             e1 = {(i, j) for i, j, _ in f1.tree_edges}
             e2 = {(i, j) for i, j, _ in f2.tree_edges}
             assert e1 == e2
@@ -131,8 +132,40 @@ class TestFromConnectivity:
                            [2.0, 0.0, 3.0],
                            [0.0, 3.0, 0.0]])
         cm = ConnectivityMatrix(("a", "b", "c"), values)
-        forest, _ = mst.mst_from_connectivity(cm, "distance")
+        forest = mst.mst_from_connectivity(cm, "distance")
         assert {(i, j) for i, j, _ in forest.tree_edges} == {(0, 1), (1, 2)}
+
+    def test_matches_kruskal_reference(self):
+        # Prim on edge ranks must return kruskal_mst's tree edge for edge, in
+        # insertion order, under heavy ties, absent edges and equal entries.
+        rng = np.random.default_rng(41)
+        for it in range(300):
+            p = int(rng.integers(2, 12))
+            if it % 3 == 0:
+                s = np.full((p, p), float(rng.integers(-1, 2)) / 2)
+            else:
+                s = np.round(rng.uniform(-1, 1, (p, p)), int(rng.integers(0, 3)))
+                s[rng.random((p, p)) < 0.4] = 0.0
+            s = np.triu(s, 1)
+            s = s + s.T
+            labels = tuple(f"n{k}" for k in range(p))
+            pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+            for mode in mst.WeightMode:
+                if mode is mst.WeightMode.DISTANCE:
+                    edges = [(i, j, s[i, j]) for i, j in pairs if s[i, j] != 0.0]
+                elif mode is mst.WeightMode.ONE_MINUS_SIMILARITY:
+                    edges = [(i, j, 1.0 - s[i, j]) for i, j in pairs]
+                else:
+                    edges = [(i, j, -s[i, j]) for i, j in pairs]
+                ref = mst.kruskal_mst(mst.WeightedGraph(labels, tuple(edges)))
+                tree = list(ref.tree_edges)
+                if mode is mst.WeightMode.MAX_TREE:
+                    # reported as similarities, re-sorted nondecreasing
+                    tree = sorted(((i, j, -w) for i, j, w in tree),
+                                  key=lambda e: (e[2], e[0], e[1]))
+                got = mst.mst_from_connectivity(ConnectivityMatrix(labels, s), mode)
+                assert got.tree_edges == tuple(tree), (it, mode)
+                assert got.component_count == ref.component_count, (it, mode)
 
     def test_asymmetric_rejected(self):
         values = np.array([[0.0, 1.0], [2.0, 0.0]])

@@ -107,10 +107,10 @@ class TestCombinatorialTrial:
     def test_groups_may_differ_in_n(self):
         a = sim.simulate_modular_data(8, 20, 4, 0.1, sim.RngStream(5, 3))
         b = sim.simulate_modular_data(13, 20, 5, 0.1, sim.RngStream(5, 4))
-        _, wa = mst_from_connectivity(pearson_correlation_matrix(a),
-                                      WeightMode.ONE_MINUS_SIMILARITY)
-        _, wb = mst_from_connectivity(pearson_correlation_matrix(b),
-                                      WeightMode.ONE_MINUS_SIMILARITY)
+        wa = mst_from_connectivity(pearson_correlation_matrix(a),
+                                   WeightMode.ONE_MINUS_SIMILARITY).sorted_weights()
+        wb = mst_from_connectivity(pearson_correlation_matrix(b),
+                                   WeightMode.ONE_MINUS_SIMILARITY).sorted_weights()
         assert (sim.run_combinatorial_trial(a, b)
                 == compare_msts(wa, wb).p_value.real_value)
 
