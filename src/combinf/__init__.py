@@ -5,7 +5,6 @@ from ._kernels import backend as kernel_backend
 from .connectivity import (
     ConnectivityMatrix,
     DataMatrix,
-    HeritabilityMap,
     TwinCohort,
     heritability_index,
     pearson_correlation_matrix,
@@ -14,14 +13,10 @@ from .connectivity import (
 )
 from .errors import DataError, EnumerationLimitError, ValidationError
 from .exact import (
-    BandCountTable,
     DiscrepancyResult,
     ExactPValue,
     MonotoneSequence,
-    StepFunction,
-    binomial,
     brute_force_pvalue,
-    build_step_function,
     count_band_paths,
     discrepancy,
     exact_pvalue,
@@ -29,11 +24,9 @@ from .exact import (
 from .mst import (
     MstComparison,
     SpanningForest,
-    WeightedGraph,
     WeightMode,
     compare_msts,
     growth_curve,
-    kruskal_mst,
     localize_nodes,
     mst_from_connectivity,
 )
@@ -51,17 +44,14 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandCountTable", "ConnectivityMatrix", "DataError", "DataMatrix",
-    "DiscrepancyResult", "EnumerationLimitError", "ExactPValue",
-    "ExperimentReport", "HeritabilityMap", "MonotoneSequence",
-    "MstComparison", "RngStream", "SimulationConfig", "SpanningForest",
-    "StepFunction", "TwinCohort", "ValidationError", "WeightMode",
-    "WeightedGraph", "binomial", "brute_force_pvalue",
-    "build_step_function", "compare_msts", "count_band_paths", "discrepancy",
+    "ConnectivityMatrix", "DataError", "DataMatrix", "DiscrepancyResult",
+    "EnumerationLimitError", "ExactPValue", "ExperimentReport",
+    "MonotoneSequence", "MstComparison", "RngStream", "SimulationConfig",
+    "SpanningForest", "TwinCohort", "ValidationError", "WeightMode",
+    "brute_force_pvalue", "compare_msts", "count_band_paths", "discrepancy",
     "exact_pvalue", "growth_curve", "heritability_index", "kernel_backend",
-    "kruskal_mst", "localize_nodes", "mst_from_connectivity",
-    "pearson_correlation_matrix", "permutation_test",
-    "run_combinatorial_trial", "run_experiment", "simulate_modular_data",
-    "simulate_modular_pair", "spearman_correlation",
+    "localize_nodes", "mst_from_connectivity", "pearson_correlation_matrix",
+    "permutation_test", "run_combinatorial_trial", "run_experiment",
+    "simulate_modular_data", "simulate_modular_pair", "spearman_correlation",
     "twin_edgewise_correlation",
 ]

@@ -138,8 +138,8 @@ def cmd_heritability(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        doc = json.loads(Path(args.config).read_text())
-    except OSError as err:
+        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read config {args.config}: {err}") from err
     except json.JSONDecodeError as err:
         raise DataError(f"{args.config}: invalid JSON: {err}") from err

@@ -25,7 +25,6 @@ class DataMatrix:
     """n observations (rows) by p nodes (columns) of finite reals."""
 
     values: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -37,11 +36,6 @@ class DataMatrix:
         if not np.isfinite(values).all():
             raise ValidationError("data matrix contains non-finite entries")
         object.__setattr__(self, "values", values)
-        if self.labels is not None:
-            if len(self.labels) != p:
-                raise ValidationError(
-                    f"{len(self.labels)} labels for {p} columns")
-            object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def n(self) -> int:
@@ -54,7 +48,13 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class ConnectivityMatrix:
-    """Symmetric p x p edge-weight matrix with node labels."""
+    """Symmetric p x p edge-weight matrix with node labels.
+
+    The only validator of connectivity matrices: square, one label per node,
+    finite, and symmetric within SYMMETRY_TOL. Stores the mean of the matrix
+    and its transpose, which leaves an exactly symmetric input bit for bit
+    (barring subnormal entries).
+    """
 
     labels: tuple[str, ...]
     values: np.ndarray
@@ -66,18 +66,20 @@ class ConnectivityMatrix:
         if len(self.labels) != values.shape[0]:
             raise ValidationError(
                 f"{len(self.labels)} labels for {values.shape[0]} nodes")
-        bad = np.argwhere(~np.isfinite(values))
-        if bad.size:
-            i, j = bad[0]
-            raise ValidationError(f"non-finite entry at ({i},{j})")
+        finite = np.isfinite(values)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValidationError(
+                f"non-finite value {values[i, j]} at row {i + 1}, column {j + 1}")
         bad = np.argwhere(np.abs(values - values.T) > SYMMETRY_TOL)
         if bad.size:
             i, j = bad[0]
             raise ValidationError(
-                f"matrix not symmetric at ({i},{j}): "
-                f"{values[i, j]!r} vs {values[j, i]!r}")
+                f"matrix not symmetric at ({i},{j}) within {SYMMETRY_TOL}: "
+                f"{float(values[i, j])!r} vs {float(values[j, i])!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "values", values)
+        # Halved before the sum, so that no finite entry overflows.
+        object.__setattr__(self, "values", values / 2.0 + values.T / 2.0)
 
     @property
     def p(self) -> int:
@@ -109,14 +111,6 @@ class TwinCohort:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class HeritabilityMap:
-    """Per-edge Falconer heritability index, 2 * (r_MZ - r_DZ)."""
-
-    labels: tuple[str, ...]
-    values: np.ndarray
-
-
 def _default_labels(p: int) -> tuple[str, ...]:
     return tuple(f"V{k + 1}" for k in range(p))
 
@@ -125,11 +119,8 @@ def pearson_correlation_matrix(data: DataMatrix | np.ndarray,
                                labels=None) -> ConnectivityMatrix:
     """Sample Pearson correlation between columns; exactly symmetric with a
     unit diagonal."""
-    if isinstance(data, DataMatrix):
-        values = data.values
-        labels = labels or data.labels
-    else:
-        values = np.asarray(data, dtype=np.float64)
+    values = (data.values if isinstance(data, DataMatrix)
+              else np.asarray(data, dtype=np.float64))
     # max == min, not std == 0: a column of 0.1s has std 1.4e-17.
     zero = np.flatnonzero(values.max(axis=0) == values.min(axis=0))
     if zero.size:
@@ -191,18 +182,11 @@ def twin_edgewise_correlation(cohort: TwinCohort,
     return ConnectivityMatrix(labels=cohort.labels, values=out)
 
 
-def heritability_index(c_mz: ConnectivityMatrix, c_dz: ConnectivityMatrix,
-                       clamp: bool = False) -> HeritabilityMap:
-    """Falconer's formula 2 * (C_MZ - C_DZ), entrywise.
-
-    Raw values by default (can be negative); ``clamp`` restricts to [0, 1]
-    for display."""
+def heritability_index(c_mz: ConnectivityMatrix,
+                       c_dz: ConnectivityMatrix) -> ConnectivityMatrix:
+    """Falconer's formula 2 * (C_MZ - C_DZ), entrywise; raw values, which
+    can be negative."""
     if c_mz.labels != c_dz.labels:
         raise ValidationError("MZ and DZ matrices have different labels")
-    if c_mz.values.shape != c_dz.values.shape:
-        raise ValidationError(
-            f"shape mismatch: {c_mz.values.shape} vs {c_dz.values.shape}")
-    hi = 2.0 * (c_mz.values - c_dz.values)
-    if clamp:
-        hi = np.clip(hi, 0.0, 1.0)
-    return HeritabilityMap(labels=c_mz.labels, values=hi)
+    return ConnectivityMatrix(labels=c_mz.labels,
+                              values=2.0 * (c_mz.values - c_dz.values))

@@ -1,14 +1,13 @@
 """Exact inference on monotone feature sequences.
 
-Implements the step-function construction for strictly sorted feature values,
-the merged-sequence discrepancy statistic, and its exact null distribution
-via band-restricted lattice-path counting, together with a brute-force
-enumeration oracle for validation.
+Implements the merged-sequence discrepancy statistic of two sorted feature
+sequences and its exact null distribution via band-restricted lattice-path
+counting, together with two oracles for validation: the full band-count
+table and brute-force enumeration.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,15 +30,11 @@ class TieWarning(UserWarning):
 
 @dataclass(frozen=True)
 class MonotoneSequence:
-    """Sorted real feature values.
-
-    Strictly increasing by default; ``strict=False`` admits ties (used for
-    sorted MST edge weights, where downstream code absorbs them and warns).
-    Values must be finite.
-    """
+    """Sorted real feature values: finite and nondecreasing. Ties are
+    admitted; ``discrepancy`` absorbs values shared by two sequences and
+    warns."""
 
     values: tuple[float, ...]
-    strict: bool = True
 
     def __post_init__(self):
         if len(self.values) == 0:
@@ -50,38 +45,15 @@ class MonotoneSequence:
             if not math.isfinite(v):
                 raise ValidationError(f"values must be finite: values[{j}]={v!r}")
         for j in range(len(vals) - 1):
-            if vals[j + 1] < vals[j] or (self.strict and vals[j + 1] == vals[j]):
-                kind = "strictly increasing" if self.strict else "nondecreasing"
+            if vals[j + 1] < vals[j]:
                 raise ValidationError(
-                    f"values must be {kind}: values[{j}]={vals[j]!r} vs "
+                    f"values must be nondecreasing: values[{j}]={vals[j]!r} vs "
                     f"values[{j + 1}]={vals[j + 1]!r}"
                 )
 
     @property
     def q(self) -> int:
         return len(self.values)
-
-    @property
-    def has_ties(self) -> bool:
-        return any(a == b for a, b in zip(self.values, self.values[1:]))
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Nondecreasing integer step function: phi(t) = #{breakpoints <= t}.
-
-    phi is 0 before the first breakpoint and len(breakpoints) at and after
-    the last, so the j-th sorted value maps to j (1-based).
-    """
-
-    breakpoints: tuple[float, ...]
-
-    def __call__(self, t: float) -> int:
-        return bisect.bisect_right(self.breakpoints, t)
-
-    @property
-    def q(self) -> int:
-        return len(self.breakpoints)
 
 
 @dataclass(frozen=True)
@@ -92,23 +64,6 @@ class DiscrepancyResult:
     argmax_location: float
     q: int
     ties_absorbed: bool = False
-
-
-@dataclass(frozen=True)
-class BandCountTable:
-    """Counts of monotone lattice paths staying inside the band |u - v| < d.
-
-    cells[u][v] is the number of admissible paths from (0,0) to (u,v);
-    out-of-band cells are 0. Arbitrary-precision integers throughout.
-    """
-
-    q: int
-    d: int
-    cells: tuple[tuple[int, ...], ...]
-
-    @property
-    def corner(self) -> int:
-        return self.cells[self.q][self.q]
 
 
 @dataclass(frozen=True)
@@ -126,23 +81,6 @@ class ExactPValue:
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k)."""
-    if n < 0 or k < 0:
-        raise ValidationError(f"binomial requires n, k >= 0, got n={n}, k={k}")
-    if k > n:
-        raise ValidationError(f"binomial requires k <= n, got n={n}, k={k}")
-    return math.comb(n, k)
-
-
-def build_step_function(seq: MonotoneSequence) -> StepFunction:
-    """Step function mapping the j-th sorted value (and anything up to the
-    next one) to j."""
-    if not isinstance(seq, MonotoneSequence):
-        seq = MonotoneSequence(tuple(seq))
-    return StepFunction(seq.values)
 
 
 def discrepancy(seq_a: MonotoneSequence, seq_b: MonotoneSequence) -> DiscrepancyResult:
@@ -177,8 +115,10 @@ def _validate_qd(q: int, d: int, d_min: int) -> None:
         raise ValidationError(f"d must be >= {d_min}, got {d}")
 
 
-def count_band_paths(q: int, d: int) -> BandCountTable:
-    """Full (q+1) x (q+1) path-count table for the band |u - v| < d.
+def count_band_paths(q: int, d: int) -> int:
+    """A_{q,q}, the number of monotone lattice paths from (0,0) to (q,q)
+    inside the band |u - v| < d, from the full (q+1) x (q+1) table: the
+    independent oracle for ``exact_pvalue``'s rolling DP.
 
     cells[0][0] = 0 and in-band axis cells are 1; interior in-band cells
     follow cells[u][v] = cells[u-1][v] + cells[u][v-1]. O(q^2) big-int adds.
@@ -194,7 +134,7 @@ def count_band_paths(q: int, d: int) -> BandCountTable:
         hi = min(q, u + d - 1)
         for v in range(lo, hi + 1):
             cells[u][v] = cells[u - 1][v] + cells[u][v - 1]
-    return BandCountTable(q=q, d=d, cells=tuple(tuple(row) for row in cells))
+    return cells[q][q]
 
 
 def _band_corner_count(q: int, d: int) -> int:
@@ -225,7 +165,7 @@ def exact_pvalue(q: int, d: int) -> ExactPValue:
     if d > q:
         return ExactPValue.from_fraction(Fraction(0))
     corner = _band_corner_count(q, d)
-    return ExactPValue.from_fraction(1 - Fraction(corner, binomial(2 * q, q)))
+    return ExactPValue.from_fraction(1 - Fraction(corner, math.comb(2 * q, q)))
 
 
 @lru_cache(maxsize=None)
@@ -261,6 +201,6 @@ def brute_force_pvalue(q: int, d: int) -> float:
     if d == 0:
         return 1.0
     counts = _brute_force_max_counts(q)
-    total = binomial(2 * q, q)
+    total = math.comb(2 * q, q)
     atleast = sum(counts[min(d, q + 1):]) if d <= q else 0
     return atleast / total

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .connectivity import SYMMETRY_TOL, ConnectivityMatrix, TwinCohort
-from .errors import DataError
+from .connectivity import ConnectivityMatrix, TwinCohort, _default_labels
+from .errors import DataError, ValidationError
 
 
 def _parse_cell(token: str, row: int, col: int) -> float:
@@ -24,12 +24,14 @@ def _parse_cell(token: str, row: int, col: int) -> float:
 
 def read_matrix_csv(path) -> ConnectivityMatrix:
     """Read a square numeric CSV, with an optional first header row of node
-    labels (detected when any first-row token is non-numeric)."""
+    labels (detected when any first-row token is non-numeric). Labels
+    default to V1..Vp; ConnectivityMatrix validates the values, and its
+    errors are raised as DataError with the path."""
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path}: {err}") from err
     if not rows:
         raise DataError(f"{path}: empty file")
@@ -57,31 +59,16 @@ def read_matrix_csv(path) -> ConnectivityMatrix:
                 "(matrix must be square)")
         for c, tok in enumerate(row):
             values[r, c] = _parse_cell(tok, r + 1, c + 1)
-    finite = np.isfinite(values)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise DataError(
-            f"{path}: non-finite value {values[r, c]} at row {r + 1}, "
-            f"column {c + 1}")
-    if labels is None:
-        labels = tuple(f"V{k + 1}" for k in range(p))
-    elif len(labels) != p:
-        raise DataError(
-            f"{path}: {len(labels)} header labels for {p} data rows")
-    bad = np.argwhere(np.abs(values - values.T) > SYMMETRY_TOL)
-    if bad.size:
-        i, j = bad[0]
-        raise DataError(
-            f"{path}: matrix not symmetric at ({i},{j}) within {SYMMETRY_TOL}: "
-            f"{values[i, j]!r} vs {values[j, i]!r}")
-    values = (values + values.T) / 2.0
-    return ConnectivityMatrix(labels=labels, values=values)
+    try:
+        return ConnectivityMatrix(labels or _default_labels(p), values)
+    except ValidationError as err:
+        raise DataError(f"{path}: {err}") from err
 
 
 def write_matrix_csv(matrix, path) -> None:
     """Write a labeled square matrix as CSV with full round-trip precision."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(matrix.labels)
         for row in np.asarray(matrix.values):
@@ -100,8 +87,8 @@ class CohortManifest:
     def load(cls, path) -> "CohortManifest":
         path = Path(path)
         try:
-            doc = json.loads(path.read_text())
-        except OSError as err:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as err:
             raise DataError(f"cannot read {path}: {err}") from err
         except json.JSONDecodeError as err:
             raise DataError(f"{path}: invalid JSON: {err}") from err
@@ -114,10 +101,15 @@ class CohortManifest:
         base = path.parent
         pairs = []
         for k, item in enumerate(raw_pairs):
-            if not isinstance(item, dict) or "a" not in item or "b" not in item:
-                raise DataError(f"{path}: pairs[{k}] must have 'a' and 'b' paths")
+            if not (isinstance(item, dict)
+                    and all(isinstance(item.get(key), str) for key in "ab")):
+                raise DataError(
+                    f"{path}: pairs[{k}] must have 'a' and 'b' path strings")
             pairs.append((base / item["a"], base / item["b"]))
-        labels_from = base / doc["labels_from"] if doc.get("labels_from") else None
+        labels_from = doc.get("labels_from")
+        if labels_from is not None and not isinstance(labels_from, str):
+            raise DataError(f"{path}: 'labels_from' must be a path string")
+        labels_from = base / labels_from if labels_from else None
         return cls(pairs=tuple(pairs), labels_from=labels_from)
 
     def load_cohort(self) -> TwinCohort:
@@ -129,8 +121,13 @@ class CohortManifest:
             ma = read_matrix_csv(pa)
             mb = read_matrix_csv(pb)
             if labels is not None:
-                ma = ConnectivityMatrix(labels=labels, values=ma.values)
-                mb = ConnectivityMatrix(labels=labels, values=mb.values)
+                try:
+                    ma = ConnectivityMatrix(labels=labels, values=ma.values)
+                    mb = ConnectivityMatrix(labels=labels, values=mb.values)
+                except ValidationError as err:
+                    raise DataError(
+                        f"{pa}, {pb}: labels from {self.labels_from}: {err}"
+                    ) from err
             pairs.append((ma, mb))
         try:
             return TwinCohort(pairs=tuple(pairs))

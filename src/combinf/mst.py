@@ -1,7 +1,6 @@
 """Minimum (and maximum) spanning trees from connectivity matrices, built by
-the null's dense Prim keyed by Kruskal's edge order (``kruskal_mst`` is the
-edge-list reference), plus comparison of two trees through the exact
-discrepancy test."""
+the null's dense Prim keyed by Kruskal's edge order, plus comparison of two
+trees through the exact discrepancy test."""
 
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ from .errors import ValidationError
 
 
 class WeightMode(str, Enum):
-    """How connectivity entries become Kruskal edge weights."""
+    """How connectivity entries become spanning-tree edge weights."""
 
     DISTANCE = "distance"
     ONE_MINUS_SIMILARITY = "one_minus_similarity"
@@ -25,48 +24,20 @@ class WeightMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class WeightedGraph:
-    """Undirected weighted graph as an edge list over labeled nodes."""
-
-    node_labels: tuple[str, ...]
-    edges: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self):
-        p = len(self.node_labels)
-        seen = set()
-        for i, j, w in self.edges:
-            if i == j:
-                raise ValidationError(f"self-loop at node {i}")
-            if not (0 <= i < p and 0 <= j < p):
-                raise ValidationError(f"edge ({i},{j}) out of range for p={p}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValidationError(f"duplicate edge {key}")
-            seen.add(key)
-
-    @property
-    def p(self) -> int:
-        return len(self.node_labels)
-
-
-@dataclass(frozen=True)
 class SpanningForest:
-    """Kruskal output: tree edges in insertion order plus component count."""
+    """Spanning forest: tree edges in Kruskal's insertion order plus the
+    component count."""
 
     node_labels: tuple[str, ...]
     tree_edges: tuple[tuple[int, int, float], ...]
     component_count: int
 
-    @property
-    def p(self) -> int:
-        return len(self.node_labels)
-
     def sorted_weights(self) -> exact.MonotoneSequence:
-        """The tree edge weights w_1 <= ... <= w_{p-1}, tie-tolerant: real
-        correlation data can tie, and the discrepancy statistic absorbs ties
-        (flagging the result)."""
+        """The tree edge weights w_1 <= ... <= w_{p-1}; real correlation
+        data can tie, and the discrepancy statistic absorbs ties (flagging
+        the result)."""
         return exact.MonotoneSequence(
-            tuple(sorted(w for _, _, w in self.tree_edges)), strict=False)
+            tuple(sorted(w for _, _, w in self.tree_edges)))
 
 
 @dataclass(frozen=True)
@@ -78,52 +49,6 @@ class MstComparison:
     p_value: exact.ExactPValue
     q: int
     ties_absorbed: bool = False
-
-
-class UnionFind:
-    """Disjoint-set forest with path halving and union by rank."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.components = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self.components -= 1
-        return True
-
-
-def kruskal_mst(g: WeightedGraph) -> SpanningForest:
-    """Greedy minimum spanning forest: scan edges by ascending weight, skip
-    those closing a cycle. Weight ties break by (min endpoint, max endpoint)
-    for reproducibility."""
-    if g.p < 2:
-        raise ValidationError(f"graph needs at least 2 nodes, got {g.p}")
-    ordered = sorted(g.edges, key=lambda e: (e[2], min(e[0], e[1]), max(e[0], e[1])))
-    uf = UnionFind(g.p)
-    tree = []
-    for i, j, w in ordered:
-        if uf.union(i, j):
-            tree.append((i, j, float(w)))
-            if uf.components == 1:
-                break
-    return SpanningForest(node_labels=g.node_labels, tree_edges=tuple(tree),
-                          component_count=uf.components)
 
 
 def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
@@ -138,13 +63,12 @@ def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
     Prim keyed by each edge's rank in a stable sort of the upper triangle,
     all distinct, takes Kruskal's tree with ties broken by (i, j); absent
     edges get key E, above every rank, and are dropped. Other input is
-    wrapped in a ConnectivityMatrix (labels V1..Vp for a bare array).
+    wrapped in a ConnectivityMatrix labelled V1..Vp.
     """
     mode = WeightMode(mode)
     if not isinstance(conn, ConnectivityMatrix):
-        values = np.asarray(getattr(conn, "values", conn), dtype=np.float64)
-        labels = getattr(conn, "labels", None) or _default_labels(len(values))
-        conn = ConnectivityMatrix(labels, values)
+        values = np.asarray(conn, dtype=np.float64)
+        conn = ConnectivityMatrix(_default_labels(len(values)), values)
     p = conn.p
     if p < 2:
         raise ValidationError(f"connectivity matrix needs p >= 2, got p={p}")

@@ -25,6 +25,33 @@ EXHAUSTIVE_SPACE_LIMIT = 100_000
 WEIGHT_MODES = ("correlation", "one_minus")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The JSON shape of each config key: a test and what it demands.
+_JSON_SHAPES = {
+    "seed": (_is_int, "an integer"),
+    "n": (_is_int, "an integer"),
+    "p": (_is_int, "an integer"),
+    "sigma": (_is_number, "a number"),
+    "replications": (_is_int, "an integer"),
+    "permutation_fractions": (
+        lambda v: isinstance(v, list) and all(map(_is_number, v)),
+        "a list of numbers"),
+    "pairings": (
+        lambda v: isinstance(v, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
+            for pair in v),
+        "a list of [integer, integer] pairs"),
+    "weight_mode": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Named, reproducible PCG64 random stream: (master seed, index).
@@ -56,6 +83,8 @@ class SimulationConfig:
     weight_mode: str = "correlation"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"/seed: need seed >= 0, got {self.seed}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValidationError(
                 f"/weight_mode: must be one of {WEIGHT_MODES}, got {self.weight_mode!r}")
@@ -63,8 +92,8 @@ class SimulationConfig:
             raise ValidationError(f"/n: need n >= 2, got {self.n}")
         if self.p < 2:
             raise ValidationError(f"/p: need p >= 2, got {self.p}")
-        if self.sigma < 0:
-            raise ValidationError(f"/sigma: need sigma >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValidationError(f"/sigma: need finite sigma >= 0, got {self.sigma}")
         if self.replications < 1:
             raise ValidationError(
                 f"/replications: need >= 1, got {self.replications}")
@@ -83,20 +112,21 @@ class SimulationConfig:
                            tuple((int(a), int(b)) for a, b in self.pairings))
 
     @classmethod
-    def from_json(cls, doc: dict) -> "SimulationConfig":
+    def from_json(cls, doc) -> "SimulationConfig":
+        """Config from parsed JSON; a value of the wrong type or shape
+        raises ValidationError naming its key."""
+        if not isinstance(doc, dict):
+            raise ValidationError(
+                f"/: config must be a JSON object, got {type(doc).__name__}")
         if "seed" not in doc:
             raise ValidationError("/seed: required")
-        known = {"seed", "n", "p", "sigma", "replications",
-                 "permutation_fractions", "pairings", "weight_mode"}
-        for key in doc:
-            if key not in known:
+        for key, value in doc.items():
+            if key not in _JSON_SHAPES:
                 raise ValidationError(f"/{key}: unknown config key")
-        kwargs = dict(doc)
-        if "permutation_fractions" in kwargs:
-            kwargs["permutation_fractions"] = tuple(kwargs["permutation_fractions"])
-        if "pairings" in kwargs:
-            kwargs["pairings"] = tuple(tuple(pair) for pair in kwargs["pairings"])
-        return cls(**kwargs)
+            test, shape = _JSON_SHAPES[key]
+            if not test(value):
+                raise ValidationError(f"/{key}: must be {shape}, got {value!r}")
+        return cls(**doc)
 
     def to_json(self) -> dict:
         return {
@@ -262,10 +292,7 @@ def permutation_test(group_a: DataMatrix, group_b: DataMatrix,
     applies the (count+1)/(N+1) correction. ``exhaustive`` enumerates every
     split (only for small spaces).
     """
-    if group_a.n != group_b.n or group_a.p != group_b.p:
-        raise ValidationError(
-            f"groups must share n and p, got {group_a.values.shape} "
-            f"and {group_b.values.shape}")
+    d_obs = observed_discrepancy(group_a, group_b, weight_mode)
     if num_permutations < 1:
         raise ValidationError(
             f"need at least 1 permutation, got {num_permutations}")
@@ -277,7 +304,6 @@ def permutation_test(group_a: DataMatrix, group_b: DataMatrix,
             "distinct relabelings exist; capping", stacklevel=2)
         num_permutations = cap
     one_minus = _one_minus_flag(weight_mode)
-    d_obs = observed_discrepancy(group_a, group_b, weight_mode)
     pooled = np.vstack([group_a.values, group_b.values])
 
     if exhaustive:

@@ -12,6 +12,7 @@ from scipy.stats import ks_2samp
 
 import combinf as c
 from combinf import cli, mst
+from kruskal_reference import WeightedGraph, kruskal_mst
 
 
 def report(name, ok, detail=""):
@@ -23,7 +24,7 @@ def report(name, ok, detail=""):
 def test_criterion_1_worked_example_exact():
     t0 = time.perf_counter()
     pv = c.exact_pvalue(3, 2)
-    corner = c.count_band_paths(3, 2).corner
+    corner = c.count_band_paths(3, 2)
     elapsed = time.perf_counter() - t0
     ok = (pv.numerator, pv.denominator) == (3, 5) and pv.real_value == 0.6 and corner == 8
     report("criterion 1: worked example exactness", ok,
@@ -99,11 +100,29 @@ def test_criterion_5_mst_exhaustive_minimality():
     for _ in range(200):
         p = int(rng.integers(3, 7))
         g = random_connected_graph(rng, p)
-        forest = mst.kruskal_mst(g)
-        kruskal_weights = tuple(sorted(w for _, _, w in forest.tree_edges))
-        if kruskal_weights != exhaustive_min_tree(g):
-            mismatches += 1
-    report("criterion 5: Kruskal minimal on 200 exhaustive checks (p<=6)",
+        w = np.zeros((p, p))
+        for i, j, x in g.edges:
+            w[i, j] = w[j, i] = x
+        # Weights lie in [0.1, 10]. An absent edge is a zero distance, or a
+        # similarity of -20: weight 21 in one_minus mode, the least similar
+        # in max_tree mode, so no minimal tree of the connected graph uses it.
+        one_minus = np.where(w != 0, 1.0 - w, -20.0)
+        g_one_minus = WeightedGraph(g.node_labels, tuple(
+            (i, j, 1.0 - one_minus[i, j]) for i, j, _ in g.edges))
+        best = exhaustive_min_tree(g)
+        cases = [
+            (w, mst.WeightMode.DISTANCE, best),
+            (one_minus, mst.WeightMode.ONE_MINUS_SIMILARITY,
+             exhaustive_min_tree(g_one_minus)),
+            # the maximum tree of -w is the minimum tree of w
+            (np.where(w != 0, -w, -20.0), mst.WeightMode.MAX_TREE,
+             tuple(sorted(-x for x in best))),
+        ]
+        for values, mode, expected in cases:
+            got = mst.mst_from_connectivity(values, mode).sorted_weights().values
+            mismatches += got != expected
+    report("criterion 5: mst_from_connectivity minimal on 200 exhaustive "
+           "checks in each weight mode (p<=6)",
            mismatches == 0, f"{mismatches} mismatching trees")
 
 
@@ -169,8 +188,8 @@ def test_criterion_9_property_suite():
     labels = tuple(f"n{k}" for k in range(6))
     we = tuple((int(i), int(j), float(rng.uniform(0, 1)))
                for i, j in combinations(range(6), 2))
-    fa = mst.kruskal_mst(mst.WeightedGraph(labels, we[:10]))
-    fb = mst.kruskal_mst(mst.WeightedGraph(labels, we[5:]))
+    fa = kruskal_mst(WeightedGraph(labels, we[:10]))
+    fb = kruskal_mst(WeightedGraph(labels, we[5:]))
     for _ in range(1000):
         center = float(rng.uniform(0, 1))
         r1, r2 = sorted(rng.uniform(0, 1, 2))

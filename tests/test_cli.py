@@ -291,7 +291,73 @@ class TestCliSimulate:
                          "--out", str(tmp_path / "o")]) == 1
         assert "/replications" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, key", [
+        (5, "/"),
+        ({"seed": 3, "n": "10"}, "/n"),
+        ({"seed": True}, "/seed"),
+        ({"seed": 3, "permutation_fractions": 0.5}, "/permutation_fractions"),
+        ({"seed": 3, "pairings": [[4]]}, "/pairings"),
+        ({"seed": -1}, "/seed"),
+        ({"seed": 3, "sigma": float("nan")}, "/sigma"),
+    ], ids=["not_object", "string_n", "bool_seed", "scalar_fractions",
+            "one_element_pairing", "negative_seed", "nan_sigma"])
+    def test_malformed_config_exit_1(self, tmp_path, capsys, doc, key):
+        # small enough to run quickly wherever a check is missing
+        if isinstance(doc, dict):
+            doc = {"n": 4, "p": 4, "replications": 1, "pairings": [[0, 0]],
+                   "permutation_fractions": [0.1], **doc}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {key}:" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 2
         capsys.readouterr()
+
+
+class TestCliDataErrors:
+    """Malformed input files exit 2 with the offending file's path."""
+
+    def manifest(self, rng, tmp_path, **extra):
+        path = TestManifest().write_cohort(rng, tmp_path, ("x", "y"))
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, **extra}))
+        return path
+
+    def heritability(self, manifest, tmp_path):
+        return cli.main(["heritability", "--mz", str(manifest),
+                         "--dz", str(manifest), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("kind", ["matrix", "config", "manifest"])
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys, kind):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("caf\xe9,1\n1,caf\xe9\n".encode("latin-1"))
+        argv = {
+            "matrix": ["compare", str(bad), str(bad)],
+            "config": ["simulate", "--config", str(bad),
+                       "--out", str(tmp_path / "o")],
+            "manifest": ["heritability", "--mz", str(bad), "--dz", str(bad),
+                         "--out", str(tmp_path / "o")],
+        }[kind]
+        assert cli.main(argv) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["a", "b"])
+    def test_non_string_pair_path_exit_2(self, rng, tmp_path, capsys, key):
+        path = self.manifest(rng, tmp_path)
+        doc = json.loads(path.read_text())
+        doc["pairs"][1][key] = 7
+        path.write_text(json.dumps(doc))
+        assert self.heritability(path, tmp_path) == 2
+        assert f"{path}: pairs[1]" in capsys.readouterr().err
+
+    def test_labels_from_count_mismatch_exit_2(self, rng, tmp_path, capsys):
+        labels_path = tmp_path / "labels.csv"
+        write_matrix_csv(random_corr(rng, ("x", "y", "z")), labels_path)
+        path = self.manifest(rng, tmp_path, labels_from=labels_path.name)
+        assert self.heritability(path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(labels_path) in err and "3 labels for 2 nodes" in err

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from combinf import _kernels, mst
+from combinf import _kernels
 from combinf.simulation import RngStream, simulate_modular_pair
+from kruskal_reference import WeightedGraph, kruskal_mst
 
 
 def reference_sorted_weights(group, one_minus):
     """One group's correlation-MST weights, built edge by edge: centred Gram,
-    G / sqrt(Gii * Gjj), then the package's Kruskal."""
+    G / sqrt(Gii * Gjj), then the reference Kruskal."""
     n, p = group.shape
     mean = np.zeros(p)
     for r in range(n):
@@ -20,8 +21,8 @@ def reference_sorted_weights(group, one_minus):
         for j in range(i + 1, p):
             corr = gram[i, j] / np.sqrt(gram[i, i] * gram[j, j])
             edges.append((i, j, 1.0 - corr if one_minus else corr))
-    g = mst.WeightedGraph(tuple(f"n{k}" for k in range(p)), tuple(edges))
-    return np.sort([w for _, _, w in mst.kruskal_mst(g).tree_edges])
+    g = WeightedGraph(tuple(f"n{k}" for k in range(p)), tuple(edges))
+    return np.sort([w for _, _, w in kruskal_mst(g).tree_edges])
 
 
 def reference_gap(a, b):

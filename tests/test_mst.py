@@ -7,6 +7,7 @@ import pytest
 from combinf import exact, mst
 from combinf.connectivity import ConnectivityMatrix
 from combinf.errors import ValidationError
+from kruskal_reference import UnionFind, WeightedGraph, kruskal_mst, kruskal_of_matrix
 
 
 def random_connected_graph(rng, p):
@@ -21,7 +22,7 @@ def random_connected_graph(rng, p):
             if (i, j) not in edges and rng.random() < 0.5:
                 edges[(i, j)] = float(rng.uniform(0.1, 10))
     labels = tuple(f"n{k}" for k in range(p))
-    return mst.WeightedGraph(labels, tuple((i, j, w) for (i, j), w in edges.items()))
+    return WeightedGraph(labels, tuple((i, j, w) for (i, j), w in edges.items()))
 
 
 def exhaustive_min_tree(g):
@@ -31,7 +32,7 @@ def exhaustive_min_tree(g):
     best = None
     best_weights = None
     for subset in combinations(g.edges, p - 1):
-        uf = mst.UnionFind(p)
+        uf = UnionFind(p)
         for i, j, _ in subset:
             uf.union(i, j)
         if uf.components == 1:
@@ -50,39 +51,39 @@ def exhaustive_min_tree_weight(g):
 class TestWeightedGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError):
-            mst.WeightedGraph(("a", "b"), ((0, 0, 1.0),))
+            WeightedGraph(("a", "b"), ((0, 0, 1.0),))
 
     def test_rejects_duplicate_pair(self):
         with pytest.raises(ValidationError):
-            mst.WeightedGraph(("a", "b"), ((0, 1, 1.0), (1, 0, 2.0)))
+            WeightedGraph(("a", "b"), ((0, 1, 1.0), (1, 0, 2.0)))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
-            mst.WeightedGraph(("a", "b"), ((0, 2, 1.0),))
+            WeightedGraph(("a", "b"), ((0, 2, 1.0),))
 
 
 class TestKruskal:
     def test_triangle(self):
-        g = mst.WeightedGraph(("a", "b", "c"),
-                              ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)))
-        forest = mst.kruskal_mst(g)
+        g = WeightedGraph(("a", "b", "c"),
+                          ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)))
+        forest = kruskal_mst(g)
         assert forest.tree_edges == ((0, 1, 1.0), (1, 2, 2.0))
         assert forest.component_count == 1
 
     def test_path_graph_is_its_own_tree(self):
-        g = mst.WeightedGraph(tuple("abcd"),
-                              ((0, 1, 2.0), (1, 2, 1.0), (2, 3, 5.0)))
-        forest = mst.kruskal_mst(g)
+        g = WeightedGraph(tuple("abcd"),
+                          ((0, 1, 2.0), (1, 2, 1.0), (2, 3, 5.0)))
+        forest = kruskal_mst(g)
         assert set(forest.tree_edges) == set(g.edges)
 
     def test_single_node_rejected(self):
         with pytest.raises(ValidationError):
-            mst.kruskal_mst(mst.WeightedGraph(("a",), ()))
+            kruskal_mst(WeightedGraph(("a",), ()))
 
     def test_insertion_order_nondecreasing(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            forest = mst.kruskal_mst(random_connected_graph(rng, int(rng.integers(2, 9))))
+            forest = kruskal_mst(random_connected_graph(rng, int(rng.integers(2, 9))))
             ws = [w for _, _, w in forest.tree_edges]
             assert ws == sorted(ws)
 
@@ -91,15 +92,15 @@ class TestKruskal:
         for _ in range(60):
             p = int(rng.integers(3, 7))
             g = random_connected_graph(rng, p)
-            forest = mst.kruskal_mst(g)
+            forest = kruskal_mst(g)
             assert forest.component_count == 1
             assert len(forest.tree_edges) == p - 1
             total = sum(w for _, _, w in forest.tree_edges)
             assert total == pytest.approx(exhaustive_min_tree_weight(g), rel=1e-12)
 
     def test_edge_plus_component_count(self):
-        g = mst.WeightedGraph(tuple("abcde"), ((0, 1, 1.0), (2, 3, 1.0)))
-        forest = mst.kruskal_mst(g)
+        g = WeightedGraph(tuple("abcde"), ((0, 1, 1.0), (2, 3, 1.0)))
+        forest = kruskal_mst(g)
         assert len(forest.tree_edges) + forest.component_count == 5
 
 
@@ -149,22 +150,10 @@ class TestFromConnectivity:
             s = np.triu(s, 1)
             s = s + s.T
             labels = tuple(f"n{k}" for k in range(p))
-            pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
             for mode in mst.WeightMode:
-                if mode is mst.WeightMode.DISTANCE:
-                    edges = [(i, j, s[i, j]) for i, j in pairs if s[i, j] != 0.0]
-                elif mode is mst.WeightMode.ONE_MINUS_SIMILARITY:
-                    edges = [(i, j, 1.0 - s[i, j]) for i, j in pairs]
-                else:
-                    edges = [(i, j, -s[i, j]) for i, j in pairs]
-                ref = mst.kruskal_mst(mst.WeightedGraph(labels, tuple(edges)))
-                tree = list(ref.tree_edges)
-                if mode is mst.WeightMode.MAX_TREE:
-                    # reported as similarities, re-sorted nondecreasing
-                    tree = sorted(((i, j, -w) for i, j, w in tree),
-                                  key=lambda e: (e[2], e[0], e[1]))
+                ref = kruskal_of_matrix(s, mode)
                 got = mst.mst_from_connectivity(ConnectivityMatrix(labels, s), mode)
-                assert got.tree_edges == tuple(tree), (it, mode)
+                assert got.tree_edges == ref.tree_edges, (it, mode)
                 assert got.component_count == ref.component_count, (it, mode)
 
     def test_asymmetric_rejected(self):
