@@ -7,10 +7,11 @@ one definition of the statistic: ``sorted_mst_weights`` (data -> column
 correlations -> sorted MST weights, for a stack of groups) and
 ``discrepancies`` (two rows of sorted weights -> D_q and the smallest merged
 value attaining it, absorbing values equal across the rows).
-``mst_discrepancies`` chains them for a stack of group pairs, for the observed
-statistic and ``permutation_null``; the exact combinatorial trial and
-``exact.discrepancy`` call them directly, and ``mst.mst_from_connectivity``
-calls ``prim_sorted_keys`` on edge ranks. All kernels are plain numpy.
+``permutation_null`` chains them over chunks of relabelings,
+``simulation.observed_discrepancy`` over one pair of groups, and
+``exact.discrepancy`` calls ``discrepancies`` alone;
+``mst.mst_from_connectivity`` calls ``prim_sorted_keys`` on edge ranks. All
+kernels are plain numpy.
 """
 
 from __future__ import annotations
@@ -108,29 +109,15 @@ def discrepancies(wa, wb):
     return step_gap[rows, first], values[rows, first]
 
 
-def mst_discrepancies(x, one_minus, first=0):
-    """D_q between the correlation MSTs of each group pair in a stack.
-
-    x is (m, 2, n, p): pair k compares group x[k, 0] with group x[k, 1].
-    Returns an int64 array of m discrepancies. A column that is constant
-    within a group has no correlation: that raises ValidationError naming
-    the pair, by its index plus ``first``, the group and the column.
-    """
-    m, _, n, p = x.shape
-    w = sorted_mst_weights(
-        x.reshape(2 * m, n, p), one_minus,
-        lambda k, j: (f"relabeling {first + k // 2}: column {j} is constant "
-                      f"in group {'AB'[k % 2]}"))
-    return discrepancies(w[0::2], w[1::2])[0]
-
-
 def permutation_null(Z, perms, one_minus):
     """Discrepancy statistics for relabelings of pooled data.
 
     Z is the pooled (2n x p) data matrix; each row of perms is a permutation
     of 0..2n-1 whose first n entries form group A. Returns an int64 array of
     the max step-function gap for each relabeling. Relabelings are processed
-    in chunks of about ``_CHUNK_CELLS`` matrix cells.
+    in chunks of about ``_CHUNK_CELLS`` matrix cells. A column that is
+    constant within a group has no correlation: that raises ValidationError
+    naming the relabeling, the group and the column.
     """
     count, n2 = perms.shape
     n = n2 // 2
@@ -138,8 +125,13 @@ def permutation_null(Z, perms, one_minus):
     chunk = max(1, _CHUNK_CELLS // (2 * p * p))
     out = np.empty(count, dtype=np.int64)
     for start in range(0, count, chunk):
-        rows = perms[start:start + chunk].reshape(-1, 2, n)
-        out[start:start + chunk] = mst_discrepancies(Z[rows], one_minus, start)
+        # Row 2k holds group A of relabeling start + k, row 2k + 1 group B.
+        groups = perms[start:start + chunk].reshape(-1, n)
+        w = sorted_mst_weights(
+            Z[groups], one_minus,
+            lambda k, j: (f"relabeling {start + k // 2}: column {j} is "
+                          f"constant in group {'AB'[k % 2]}"))
+        out[start:start + chunk] = discrepancies(w[0::2], w[1::2])[0]
     return out
 
 

@@ -1,9 +1,9 @@
 """Exact inference on monotone feature sequences.
 
 Implements the merged-sequence discrepancy statistic of two sorted feature
-sequences and its exact null distribution via band-restricted lattice-path
-counting, together with two oracles for validation: the full band-count
-table and brute-force enumeration.
+sequences and its exact null distribution by the Gnedenko-Korolyuk closed
+form, together with two oracles for validation: the band-restricted
+lattice-path count and brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -117,28 +116,14 @@ def _validate_qd(q: int, d: int, d_min: int) -> None:
 
 def count_band_paths(q: int, d: int) -> int:
     """A_{q,q}, the number of monotone lattice paths from (0,0) to (q,q)
-    inside the band |u - v| < d, from the full (q+1) x (q+1) table: the
-    independent oracle for ``exact_pvalue``'s rolling DP.
+    inside the band |u - v| < d, by the band recurrence over two rolling
+    rows: the independent oracle for ``exact_pvalue``'s closed form, since
+    P(D_q >= d) = 1 - A_{q,q} / C(2q, q).
 
-    cells[0][0] = 0 and in-band axis cells are 1; interior in-band cells
-    follow cells[u][v] = cells[u-1][v] + cells[u][v-1]. O(q^2) big-int adds.
+    In-band axis cells are 1 and interior in-band cells follow
+    A[u][v] = A[u-1][v] + A[u][v-1]. O(q d) big-int adds, memory O(q).
     """
     _validate_qd(q, d, d_min=1)
-    cells = [[0] * (q + 1) for _ in range(q + 1)]
-    for u in range(1, q + 1):
-        if u < d:
-            cells[u][0] = 1
-            cells[0][u] = 1
-    for u in range(1, q + 1):
-        lo = max(1, u - d + 1)
-        hi = min(q, u + d - 1)
-        for v in range(lo, hi + 1):
-            cells[u][v] = cells[u - 1][v] + cells[u][v - 1]
-    return cells[q][q]
-
-
-def _band_corner_count(q: int, d: int) -> int:
-    """A_{q,q} via a two-row rolling DP (memory O(q))."""
     prev = [0] * (q + 1)
     for v in range(1, q + 1):
         prev[v] = 1 if v < d else 0
@@ -154,40 +139,44 @@ def _band_corner_count(q: int, d: int) -> int:
 
 
 def exact_pvalue(q: int, d: int) -> ExactPValue:
-    """P(D_q >= d) = 1 - A_{q,q} / C(2q, q), exactly.
+    """P(D_q >= d) = 2 sum_{k>=1} (-1)^(k+1) C(2q, q - kd) / C(2q, q),
+    exactly (Gnedenko & Korolyuk 1951).
 
-    d = 0 returns exactly 1; d > q returns exactly 0 (the discrepancy of two
-    length-q sequences cannot exceed q).
+    C(2q, j) is walked down from j = q by the exact integer step
+    C(2q, j - 1) = C(2q, j) j / (2q - j + 1), so the sum costs at most q
+    small-integer steps whatever d is. d = 0 returns exactly 1; d > q has
+    no terms and returns exactly 0 (the discrepancy of two length-q
+    sequences cannot exceed q).
     """
     _validate_qd(q, d, d_min=0)
     if d == 0:
         return ExactPValue.from_fraction(Fraction(1))
-    if d > q:
-        return ExactPValue.from_fraction(Fraction(0))
-    corner = _band_corner_count(q, d)
-    return ExactPValue.from_fraction(1 - Fraction(corner, math.comb(2 * q, q)))
+    central = c = math.comb(2 * q, q)
+    tail = 0
+    for j in range(q, q % d, -1):
+        c = c * j // (2 * q - j + 1)  # C(2q, j - 1), a term when q - j + 1 = kd
+        k, r = divmod(q - j + 1, d)
+        if r == 0:
+            tail += c if k % 2 else -c
+    return ExactPValue.from_fraction(Fraction(2 * tail, central))
 
 
 @lru_cache(maxsize=None)
 def _brute_force_max_counts(q: int) -> tuple[int, ...]:
     """counts[m] = number of monotone (0,0)->(q,q) paths whose max |u - v|
-    equals m, by full enumeration of all C(2q, q) paths."""
-    counts = [0] * (q + 1)
+    equals m, by full enumeration of all C(2q, q) paths: each 2q-bit mask
+    with q set bits is one path, bit s set when step s goes right."""
     steps = 2 * q
-    for rights in combinations(range(steps), q):
-        right_set = set(rights)
-        u = v = 0
-        best = 0
-        for s in range(steps):
-            if s in right_set:
-                u += 1
-            else:
-                v += 1
-            gap = abs(u - v)
-            if gap > best:
-                best = gap
-        counts[best] += 1
-    return tuple(counts)
+    shifts = np.arange(steps, dtype=np.uint32)
+    counts = np.zeros(q + 1, dtype=np.int64)
+    chunk = 1 << 20
+    for start in range(0, 1 << steps, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << steps), dtype=np.uint32)
+        masks = masks[np.bitwise_count(masks) == q]
+        right = ((masks[:, None] >> shifts) & 1).astype(np.int8)
+        walk = np.cumsum(2 * right - 1, axis=1, dtype=np.int8)
+        counts += np.bincount(np.abs(walk).max(axis=1), minlength=q + 1)
+    return tuple(int(c) for c in counts)
 
 
 def brute_force_pvalue(q: int, d: int) -> float:

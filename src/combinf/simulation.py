@@ -252,33 +252,28 @@ def _one_minus_flag(weight_mode: str) -> bool:
 def observed_discrepancy(group_a: DataMatrix, group_b: DataMatrix,
                          weight_mode: str = "one_minus") -> int:
     """Max step-function gap between the two groups' correlation-MST weight
-    sequences: the permutation null's statistic on the observed split."""
-    if group_a.n != group_b.n or group_a.p != group_b.p:
-        raise ValidationError(
-            f"groups must share n and p, got {group_a.values.shape} "
-            f"and {group_b.values.shape}")
-    pair = np.stack([group_a.values, group_b.values])[None]
-    return int(_kernels.mst_discrepancies(pair, _one_minus_flag(weight_mode))[0])
-
-
-def run_combinatorial_trial(group_a: DataMatrix, group_b: DataMatrix,
-                            weight_mode: str = "one_minus") -> float:
-    """Exact p-value for the MST shape difference between two groups:
-    correlation -> MST edge weights -> discrepancy -> exact null. The groups
-    may differ in n. A column that is constant within a group raises
-    ValidationError naming it."""
+    sequences: the exact trial's statistic, and the permutation null's on
+    the observed split. The groups may differ in n. A column that is
+    constant within a group raises ValidationError naming it."""
     if group_a.p != group_b.p:
         raise ValidationError(
             f"groups differ in node count: {group_a.p} vs {group_b.p}")
     one_minus = _one_minus_flag(weight_mode)
-    wa = _kernels.sorted_mst_weights(
-        group_a.values[None], one_minus,
-        lambda k, j: f"column {j} is constant in group A")
-    wb = _kernels.sorted_mst_weights(
-        group_b.values[None], one_minus,
-        lambda k, j: f"column {j} is constant in group B")
-    d, _ = _kernels.discrepancies(wa, wb)
-    return exact_pvalue(group_a.p - 1, int(d[0])).real_value
+
+    def weights(group, name):
+        return _kernels.sorted_mst_weights(
+            group.values[None], one_minus,
+            lambda k, j: f"column {j} is constant in group {name}")
+    d, _ = _kernels.discrepancies(weights(group_a, "A"), weights(group_b, "B"))
+    return int(d[0])
+
+
+def run_combinatorial_trial(group_a: DataMatrix, group_b: DataMatrix,
+                            weight_mode: str = "one_minus") -> float:
+    """Exact p-value for the MST shape difference between two groups: the
+    exact null of their ``observed_discrepancy``."""
+    d = observed_discrepancy(group_a, group_b, weight_mode)
+    return exact_pvalue(group_a.p - 1, d).real_value
 
 
 def permutation_test(group_a: DataMatrix, group_b: DataMatrix,
@@ -292,6 +287,10 @@ def permutation_test(group_a: DataMatrix, group_b: DataMatrix,
     applies the (count+1)/(N+1) correction. ``exhaustive`` enumerates every
     split (only for small spaces).
     """
+    if group_a.n != group_b.n:
+        raise ValidationError(
+            f"permutation test needs groups of equal n, got {group_a.n} "
+            f"and {group_b.n}")
     d_obs = observed_discrepancy(group_a, group_b, weight_mode)
     if num_permutations < 1:
         raise ValidationError(

@@ -47,13 +47,16 @@ def test_criterion_2_twin_pvalue():
     x = np.arange(float(q))
     ks = ks_2samp(x, x + d - 0.5, method="exact")
     assert ks.statistic == d / q
+    # Oracle 3: the band DP, 1 - (paths inside |u - v| < d) / C(2q, q).
+    band = 1 - Fraction(c.count_band_paths(q, d), math.comb(2 * q, q))
 
-    ok = (pv.fraction == closed_form
+    ok = (pv.fraction == closed_form == band
           and math.isclose(pv.real_value, ks.pvalue, rel_tol=1e-12)
           and elapsed < 0.1)
     report("criterion 2: exact twin p-value at q=115, d=46", ok,
            f"exact_pvalue(115,46)={pv.real_value:.6g}, closed form "
-           f"{float(closed_form):.6g}, ks_2samp {ks.pvalue:.6g}, "
+           f"{float(closed_form):.6g}, band DP {float(band):.6g}, "
+           f"ks_2samp {ks.pvalue:.6g}, "
            f"{elapsed * 1e3:.1f} ms (the published 1.57e-8 is the q=116 "
            "value, see CHANGES.md)")
 
@@ -74,7 +77,7 @@ def test_criterion_3_oracle_equivalence():
             gap = abs(c.exact_pvalue(q, d).real_value - c.brute_force_pvalue(q, d))
             worst = max(worst, gap)
     elapsed = time.perf_counter() - t0
-    report("criterion 3: DP equals brute-force oracle (q<=8)",
+    report("criterion 3: exact p-value equals brute-force oracle (q<=8)",
            worst <= 1e-12 and elapsed < 30,
            f"max |gap|={worst:.2e}, {elapsed:.1f} s")
 

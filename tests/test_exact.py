@@ -1,3 +1,4 @@
+import math
 import warnings
 from bisect import bisect_right
 from fractions import Fraction
@@ -91,11 +92,14 @@ class TestBandCounts:
     def test_degenerate_band(self):
         assert exact.count_band_paths(2, 1) == 0
 
-    def test_rolling_matches_full_table(self):
-        for q in range(1, 15):
+    def test_closed_form_matches_band_dp(self):
+        for q in range(1, 61):
+            total = math.comb(2 * q, q)
             for d in range(1, q + 2):
-                assert (exact._band_corner_count(q, d)
-                        == exact.count_band_paths(q, d))
+                assert (exact.exact_pvalue(q, d).fraction
+                        == 1 - Fraction(exact.count_band_paths(q, d), total))
+            assert exact.exact_pvalue(q, 0).fraction == 1
+            assert exact.exact_pvalue(q, q + 5).fraction == 0
 
 
 class TestExactPValue:

@@ -1,27 +1,30 @@
-"""Property tests: the exact null against its oracles, and the production
-spanning tree against the reference Kruskal, on inputs drawn by hypothesis.
+"""Property tests: the exact null against its oracles, the exit codes of
+`combinf pvalue`, and the production spanning tree against the reference
+Kruskal, on inputs drawn by hypothesis.
 
 Examples are few and derandomized, so the suite stays fast and repeatable.
 """
 
+import io
 import math
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from combinf import exact, mst
+from combinf import cli, exact, mst
 from kruskal_reference import kruskal_of_matrix
 
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
 
 
-# Enumeration walks all C(2q, q) paths: 0.6 s at q = 10, 2.8 s at q = 11
-# and 11.7 s at q = 12, the oracle's limit, so q stops at 10.
 @FEW
-@given(q=st.integers(1, 10), data=st.data())
+@given(q=st.integers(1, exact.BRUTE_FORCE_MAX_Q), data=st.data())
 def test_exact_pvalue_matches_brute_force(q, data):
     d = data.draw(st.integers(0, q + 1))
     assert math.isclose(exact.exact_pvalue(q, d).real_value,
@@ -50,6 +53,26 @@ def test_exact_pvalue_matches_ks_2samp(q, data):
     assert d == round(ks.statistic * q)
     assert math.isclose(exact.exact_pvalue(q, d).real_value, ks.pvalue,
                         rel_tol=1e-9)
+
+
+@FEW
+@given(q=st.integers(-3, 400), d=st.integers(-3, 450))
+def test_cli_pvalue_exit_codes(q, d):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["pvalue", "--q", str(q), "--d", str(d)])
+    assert code in (0, 1)
+    assert (code == 0) == (q >= 1 and d >= 0), err.getvalue()
+    if code == 0:
+        num, den = out.getvalue().split("(exact ")[1].rstrip(")\n").split("/")
+        got = Fraction(int(Decimal(num)), int(Decimal(den)))
+        if d == 0:
+            assert got == 1
+        elif d > q:
+            assert got == 0
+        else:
+            assert got == 1 - Fraction(exact.count_band_paths(q, d),
+                                       math.comb(2 * q, q))
 
 
 @FEW

@@ -173,6 +173,13 @@ class TestPermutationTest:
             sim.permutation_test(DataMatrix(a), DataMatrix(b), 20,
                                  sim.RngStream(8, 17), exhaustive=True)
 
+    def test_unequal_n_rejected(self):
+        # The exact trial takes groups of any n; relabeling needs equal n.
+        a = sim.simulate_modular_data(4, 6, 2, 0.1, sim.RngStream(8, 18))
+        b = sim.simulate_modular_data(5, 6, 3, 0.1, sim.RngStream(8, 19))
+        with pytest.raises(ValidationError, match="equal n, got 4 and 5"):
+            sim.permutation_test(a, b, 20, sim.RngStream(8, 20))
+
     def test_too_few_permutations_rejected(self):
         a = sim.simulate_modular_data(3, 6, 2, 0.1, sim.RngStream(8, 15))
         with pytest.raises(ValidationError):
