@@ -116,16 +116,25 @@ def cmd_compare(args) -> int:
         svg=args.svg, csv_out=args.csv)
 
 
+def _output_dir(path) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise DataError(f"cannot create output directory {out}: {err}") from err
+    return out
+
+
 def cmd_heritability(args) -> int:
-    cohort_mz = CohortManifest.load(args.mz).load_cohort()
-    cohort_dz = CohortManifest.load(args.dz).load_cohort()
-    if cohort_mz.labels != cohort_dz.labels:
+    # one cohort in memory at a time
+    c_mz = twin_edgewise_correlation(CohortManifest.load(args.mz).load_cohort(),
+                                     symmetrize=args.symmetrize)
+    c_dz = twin_edgewise_correlation(CohortManifest.load(args.dz).load_cohort(),
+                                     symmetrize=args.symmetrize)
+    if c_mz.labels != c_dz.labels:
         raise DataError("MZ and DZ cohorts have different node labels")
-    c_mz = twin_edgewise_correlation(cohort_mz, symmetrize=args.symmetrize)
-    c_dz = twin_edgewise_correlation(cohort_dz, symmetrize=args.symmetrize)
     hi = heritability_index(c_mz, c_dz)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     write_matrix_csv(c_mz, out / "C_MZ.csv")
     write_matrix_csv(c_dz, out / "C_DZ.csv")
     write_matrix_csv(hi, out / "HI.csv")
@@ -144,8 +153,7 @@ def cmd_simulate(args) -> int:
     except json.JSONDecodeError as err:
         raise DataError(f"{args.config}: invalid JSON: {err}") from err
     cfg = simulation.SimulationConfig.from_json(doc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
 
     def progress(label, done, total):
         print(f"\r{label}: {done}/{total}", end="", file=sys.stderr, flush=True)
@@ -153,9 +161,12 @@ def cmd_simulate(args) -> int:
             print(file=sys.stderr)
 
     report = simulation.run_experiment(cfg, progress=progress)
-    (out / "report.json").write_text(report.to_json_text())
     table = report.to_text_table()
-    (out / "report.txt").write_text(table)
+    try:
+        (out / "report.json").write_text(report.to_json_text())
+        (out / "report.txt").write_text(table)
+    except OSError as err:
+        raise DataError(f"cannot write report to {out}: {err}") from err
     print(table, end="")
     return 0
 

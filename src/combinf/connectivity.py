@@ -133,6 +133,17 @@ def pearson_correlation_matrix(data: DataMatrix | np.ndarray,
     return ConnectivityMatrix(labels=tuple(labels), values=corr)
 
 
+def _midrank_pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pearson correlation of the midranks of each column of two (n x m)
+    arrays; centred midranks are multiples of 1/2, so every sum is exact."""
+    ra = rankdata(a, axis=0)
+    rb = rankdata(b, axis=0)
+    ra -= ra.mean(axis=0)
+    rb -= rb.mean(axis=0)
+    return (ra * rb).sum(axis=0) / np.sqrt((ra * ra).sum(axis=0)
+                                           * (rb * rb).sum(axis=0))
+
+
 def spearman_correlation(a, b) -> float:
     """Pearson correlation of midranks (average ranks on ties)."""
     a = np.asarray(a, dtype=np.float64)
@@ -143,11 +154,7 @@ def spearman_correlation(a, b) -> float:
         raise ValidationError(f"need at least 3 points, got {a.size}")
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise ValidationError("spearman correlation undefined for constant vector")
-    ra = rankdata(a)
-    rb = rankdata(b)
-    ra = ra - ra.mean()
-    rb = rb - rb.mean()
-    return float(ra @ rb / np.sqrt((ra @ ra) * (rb @ rb)))
+    return float(_midrank_pearson(a[:, None], b[:, None])[0])
 
 
 def twin_edgewise_correlation(cohort: TwinCohort,
@@ -155,30 +162,22 @@ def twin_edgewise_correlation(cohort: TwinCohort,
     """Spearman correlation, per edge, between twin-A and twin-B edge values
     across pairs. Diagonal is 1; constant (degenerate) edges are reported as
     0 with a warning. ``symmetrize`` pools both within-pair orderings."""
-    p = cohort.p
-    m = len(cohort.pairs)
-    avals = np.empty((m, p, p))
-    bvals = np.empty((m, p, p))
-    for k, (ma, mb) in enumerate(cohort.pairs):
-        avals[k] = ma.values
-        bvals[k] = mb.values
-    out = np.zeros((p, p))
-    for i in range(p):
-        for j in range(i + 1, p):
-            a = avals[:, i, j]
-            b = bvals[:, i, j]
-            if symmetrize:
-                a, b = np.concatenate([a, b]), np.concatenate([b, a])
-            if np.all(a == a[0]) or np.all(b == b[0]):
-                warnings.warn(
-                    f"edge ({cohort.labels[i]}, {cohort.labels[j]}) is constant "
-                    "across pairs; correlation set to 0",
-                    DegenerateEdgeWarning, stacklevel=2)
-                r = 0.0
-            else:
-                r = spearman_correlation(a, b)
-            out[i, j] = out[j, i] = r
-    np.fill_diagonal(out, 1.0)
+    iu = np.triu_indices(cohort.p, k=1)
+    a = np.array([ma.values[iu] for ma, _ in cohort.pairs])
+    b = np.array([mb.values[iu] for _, mb in cohort.pairs])
+    if symmetrize:
+        a, b = np.concatenate([a, b]), np.concatenate([b, a])
+    constant = ((a.max(axis=0) == a.min(axis=0))
+                | (b.max(axis=0) == b.min(axis=0)))
+    for e in np.flatnonzero(constant):
+        warnings.warn(
+            f"edge ({cohort.labels[iu[0][e]]}, {cohort.labels[iu[1][e]]}) is "
+            "constant across pairs; correlation set to 0",
+            DegenerateEdgeWarning, stacklevel=2)
+    with np.errstate(invalid="ignore"):  # 0/0 on the constant edges
+        r = np.where(constant, 0.0, _midrank_pearson(a, b))
+    out = np.eye(cohort.p)
+    out[iu] = out.T[iu] = r
     return ConnectivityMatrix(labels=cohort.labels, values=out)
 
 

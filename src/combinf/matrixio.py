@@ -13,15 +13,6 @@ from .connectivity import ConnectivityMatrix, TwinCohort, _default_labels
 from .errors import DataError, ValidationError
 
 
-def _parse_cell(token: str, row: int, col: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise DataError(
-            f"cannot parse {token!r} as a number at row {row}, column {col}"
-        ) from None
-
-
 def read_matrix_csv(path) -> ConnectivityMatrix:
     """Read a square numeric CSV, with an optional first header row of node
     labels (detected when any first-row token is non-numeric). Labels
@@ -36,29 +27,34 @@ def read_matrix_csv(path) -> ConnectivityMatrix:
     if not rows:
         raise DataError(f"{path}: empty file")
 
-    labels = None
-    first = rows[0]
     def _numeric(tok):
         try:
             float(tok)
             return True
         except ValueError:
             return False
-    if not all(_numeric(tok) for tok in first):
-        labels = tuple(tok.strip() for tok in first)
+
+    labels = None
+    if not all(map(_numeric, rows[0])):
+        labels = tuple(tok.strip() for tok in rows[0])
         rows = rows[1:]
 
     p = len(rows)
     if p == 0:
         raise DataError(f"{path}: header but no data rows")
-    values = np.empty((p, p))
-    for r, row in enumerate(rows):
-        if len(row) != p:
-            raise DataError(
-                f"{path}: row {r + 1} has {len(row)} columns, expected {p} "
-                "(matrix must be square)")
-        for c, tok in enumerate(row):
-            values[r, c] = _parse_cell(tok, r + 1, c + 1)
+    short = next((r for r, row in enumerate(rows) if len(row) != p), p)
+    try:
+        # numpy parses each str with Python's float rules
+        values = np.array(rows[:short], dtype=np.float64)
+    except ValueError:
+        r, c, tok = next((r, c, tok) for r, row in enumerate(rows, 1)
+                         for c, tok in enumerate(row, 1) if not _numeric(tok))
+        raise DataError(f"cannot parse {tok!r} as a number at row {r}, "
+                        f"column {c}") from None
+    if short < p:
+        raise DataError(
+            f"{path}: row {short + 1} has {len(rows[short])} columns, "
+            f"expected {p} (matrix must be square)")
     try:
         return ConnectivityMatrix(labels or _default_labels(p), values)
     except ValidationError as err:
@@ -67,12 +63,14 @@ def read_matrix_csv(path) -> ConnectivityMatrix:
 
 def write_matrix_csv(matrix, path) -> None:
     """Write a labeled square matrix as CSV with full round-trip precision."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(matrix.labels)
-        for row in np.asarray(matrix.values):
-            writer.writerow([repr(float(v)) for v in row])
+    try:
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(matrix.labels)
+            for row in np.asarray(matrix.values):
+                writer.writerow([repr(float(v)) for v in row])
+    except OSError as err:
+        raise DataError(f"cannot write {path}: {err}") from err
 
 
 @dataclass(frozen=True)

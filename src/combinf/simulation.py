@@ -18,6 +18,11 @@ from .exact import exact_pvalue
 
 DEFAULT_PAIRINGS = ((0, 0), (4, 4), (4, 5), (4, 8), (5, 10))
 EXHAUSTIVE_SPACE_LIMIT = 100_000
+# Most relabeling indices one permutation fraction may ask for. The sampled
+# test holds 2n int64 indices per relabeling, so at most 32 MiB; stacking the
+# per-relabeling arrays peaks near 100 MiB (measured at n = 10, 11 and 100).
+# At n = 10 this admits all C(20, 10) = 184,756 relabelings.
+MAX_RELABELING_INDICES = 2 ** 22
 
 # Weight modes for the simulation statistic: "correlation" builds the MST on
 # the raw correlations (which is what reproduces the published benchmark
@@ -69,6 +74,19 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
+def _too_many_relabelings(fraction: float, n: int) -> bool:
+    """Whether fraction * C(2n, n) relabelings of 2n indices each pass
+    MAX_RELABELING_INDICES, in exact integers. The count grows with n, so
+    the walk up C(2k, k) stops at the first k past the bound."""
+    num, den = fraction.as_integer_ratio()
+    comb = 1
+    for k in range(1, n + 1):
+        comb = comb * (2 * k) * (2 * k - 1) // (k * k)
+        if num * comb * 2 * k > MAX_RELABELING_INDICES * den:
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Parameters of the modular-network benchmark."""
@@ -101,6 +119,11 @@ class SimulationConfig:
             if not (0 < f <= 1):
                 raise ValidationError(
                     f"/permutation_fractions/{idx}: fraction must be in (0,1], got {f}")
+            if _too_many_relabelings(f, self.n):
+                raise ValidationError(
+                    f"/permutation_fractions/{idx}: {f} x C({2 * self.n}, "
+                    f"{self.n}) relabelings of {2 * self.n} indices each exceed "
+                    f"{MAX_RELABELING_INDICES} indices")
         for idx, (ka, kb) in enumerate(self.pairings):
             for k in (ka, kb):
                 if k < 0 or (k > 0 and self.p % k != 0):

@@ -3,6 +3,9 @@ PASS/FAIL line (run with -s to see them even on success)."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -138,8 +141,19 @@ def test_criterion_6_table1_qualitative_and_criterion_8_determinism(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     t0 = time.perf_counter()
-    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out2)]) == 0
+    # The second run, for criterion 8, is a child process alongside the first.
+    src = os.path.dirname(os.path.dirname(c.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "combinf.cli", "simulate", "--config",
+         str(cfg_path), "--out", str(out2)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    try:
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out1)]) == 0
+        _, child_err = child.communicate(timeout=600)
+    finally:
+        child.kill()  # no-op once it has exited
+    assert child.returncode == 0, child_err
     elapsed = time.perf_counter() - t0
 
     doc = json.loads((out1 / "report.json").read_text())

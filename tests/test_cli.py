@@ -270,6 +270,19 @@ class TestCliHeritability:
         assert np.all(hi.values == 0.0)
         assert (out_dir / "C_MZ.csv").exists() and (out_dir / "C_DZ.csv").exists()
 
+    def test_cohort_label_mismatch_exit_2(self, rng, tmp_path, capsys):
+        helper = TestManifest()
+        manifests = []
+        for name, labels in (("mz", ("x", "y", "z")), ("dz", ("x", "y", "w"))):
+            (tmp_path / name).mkdir()
+            manifests.append(helper.write_cohort(rng, tmp_path / name, labels))
+        assert cli.main(["heritability", "--mz", str(manifests[0]),
+                         "--dz", str(manifests[1]),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert ("data error: MZ and DZ cohorts have different node labels"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
 
 class TestCliSimulate:
     def test_runs_and_is_deterministic(self, tmp_path, capsys):
@@ -299,8 +312,10 @@ class TestCliSimulate:
         ({"seed": 3, "pairings": [[4]]}, "/pairings"),
         ({"seed": -1}, "/seed"),
         ({"seed": 3, "sigma": float("nan")}, "/sigma"),
+        ({"seed": 3, "n": 600}, "/permutation_fractions/0"),
     ], ids=["not_object", "string_n", "bool_seed", "scalar_fractions",
-            "one_element_pairing", "negative_seed", "nan_sigma"])
+            "one_element_pairing", "negative_seed", "nan_sigma",
+            "relabelings_past_float"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, doc, key):
         # small enough to run quickly wherever a check is missing
         if isinstance(doc, dict):
@@ -361,3 +376,27 @@ class TestCliDataErrors:
         assert self.heritability(path, tmp_path) == 2
         err = capsys.readouterr().err
         assert str(labels_path) in err and "3 labels for 2 nodes" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "heritability"])
+    @pytest.mark.parametrize("where", ["file", "below_file", "output_is_dir"])
+    def test_unwritable_output_exit_2(self, rng, tmp_path, capsys, command, where):
+        out = tmp_path / "out"
+        if where == "output_is_dir":
+            name = "report.json" if command == "simulate" else "HI.csv"
+            (out / name).mkdir(parents=True)
+        else:
+            out.write_text("")
+            out = out / "sub" if where == "below_file" else out
+        if command == "simulate":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "seed": 3, "n": 4, "p": 4, "replications": 1,
+                "pairings": [[0, 0]], "permutation_fractions": [0.1]}))
+            argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        else:
+            manifest = self.manifest(rng, tmp_path)
+            argv = ["heritability", "--mz", str(manifest), "--dz", str(manifest),
+                    "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "data error: cannot " in err and str(out) in err

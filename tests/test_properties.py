@@ -1,23 +1,30 @@
 """Property tests: the exact null against its oracles, the exit codes of
-`combinf pvalue`, and the production spanning tree against the reference
-Kruskal, on inputs drawn by hypothesis.
+`combinf pvalue`, the production spanning tree against the reference
+Kruskal, the twin map against an edge-by-edge Spearman loop, and the matrix
+CSV reader against float(), on inputs drawn by hypothesis.
 
 Examples are few and derandomized, so the suite stays fast and repeatable.
 """
 
+import csv
 import io
 import math
+import re
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from combinf import cli, exact, mst
+from combinf import cli, connectivity, exact, mst
+from combinf.errors import DataError, ValidationError
+from combinf.matrixio import read_matrix_csv
 from kruskal_reference import kruskal_of_matrix
 
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
@@ -88,3 +95,113 @@ def test_mst_from_connectivity_matches_kruskal(p, mode, data):
     got = mst.mst_from_connectivity(s, mode)
     assert got.tree_edges == ref.tree_edges
     assert got.component_count == ref.component_count
+
+
+def _edge_loop_twin_map(cohort, symmetrize):
+    """The twin map one edge at a time through spearman_correlation: the
+    reference for the columnwise twin_edgewise_correlation."""
+    p, labels = cohort.p, cohort.labels
+    out, messages = np.eye(p), []
+    for i in range(p):
+        for j in range(i + 1, p):
+            a = np.array([ma.values[i, j] for ma, _ in cohort.pairs])
+            b = np.array([mb.values[i, j] for _, mb in cohort.pairs])
+            if symmetrize:
+                a, b = np.concatenate([a, b]), np.concatenate([b, a])
+            if np.all(a == a[0]) or np.all(b == b[0]):
+                messages.append(f"edge ({labels[i]}, {labels[j]}) is constant "
+                                "across pairs; correlation set to 0")
+            else:
+                out[i, j] = out[j, i] = connectivity.spearman_correlation(a, b)
+    return out, messages
+
+
+@FEW
+@given(m=st.integers(3, 8), p=st.integers(2, 6), symmetrize=st.booleans(),
+       data=st.data())
+def test_twin_map_matches_edge_loop(m, p, symmetrize, data):
+    # Values on a grid of quarters tie often; some edges are made constant
+    # on one or both sides.
+    edges = p * (p - 1) // 2
+    grid = st.lists(st.integers(-4, 4), min_size=m * edges, max_size=m * edges)
+    sides = [np.array(data.draw(grid), dtype=float).reshape(m, edges) / 4
+             for _ in range(2)]
+    constant = data.draw(st.lists(st.sampled_from(["", "a", "b", "ab"]),
+                                  min_size=edges, max_size=edges))
+    for e, sides_held in enumerate(constant):
+        for side, name in zip(sides, "ab"):
+            if name in sides_held:
+                side[:, e] = side[0, e]
+    labels = tuple(f"n{k}" for k in range(p))
+    iu = np.triu_indices(p, k=1)
+
+    def matrix(upper):
+        values = np.eye(p)
+        values[iu] = values.T[iu] = upper
+        return connectivity.ConnectivityMatrix(labels, values)
+
+    cohort = connectivity.TwinCohort(tuple(
+        (matrix(sides[0][k]), matrix(sides[1][k])) for k in range(m)))
+    want, want_messages = _edge_loop_twin_map(cohort, symmetrize)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = connectivity.twin_edgewise_correlation(cohort, symmetrize)
+    assert got.values.tobytes() == want.tobytes()
+    assert [str(w.message) for w in caught] == want_messages
+    assert all(w.category is connectivity.DegenerateEdgeWarning for w in caught)
+
+
+_FLOAT_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f" {x:.3e}\t"),
+    st.integers(-10 ** 9, 10 ** 9).map(lambda k: f"{k:_}"),
+    st.sampled_from(["1_0", " 2.5 ", "\u0663", "\u0661\u0662.\u0665", "-0.0",
+                     "+.5", "5.", "1e-400", "1e400", "nan", "-Infinity"]))
+_BAD_TOKENS = st.one_of(
+    st.sampled_from(["", " ", "oops", "1,0", "0x10", "1e", "\u00bd", "1__0",
+                     "_1", "--1"]),
+    st.text(max_size=3))
+
+
+@FEW
+@given(p=st.integers(2, 5), data=st.data())
+def test_read_matrix_csv_parses_like_float(p, data):
+    # A symmetric matrix of tokens, each cell mirrored, under a label row;
+    # sometimes with bad tokens at drawn cells.
+    tokens = [[None] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i, p):
+            tokens[i][j] = tokens[j][i] = data.draw(_FLOAT_TOKENS)
+    for i, j in data.draw(st.lists(st.tuples(st.integers(0, p - 1),
+                                             st.integers(0, p - 1)), max_size=2)):
+        tokens[i][j] = data.draw(_BAD_TOKENS)
+
+    def parses(tok):
+        try:
+            float(tok)
+            return True
+        except ValueError:
+            return False
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/m.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([[f"n{k}" for k in range(p)], *tokens])
+        bad = [(r, c, tok) for r, row in enumerate(tokens, 1)
+               for c, tok in enumerate(row, 1) if not parses(tok)]
+        if bad:
+            r, c, tok = bad[0]
+            with pytest.raises(DataError) as err:
+                read_matrix_csv(path)
+            assert str(err.value) == (f"cannot parse {tok!r} as a number at "
+                                      f"row {r}, column {c}")
+            return
+        values = np.array([[float(tok) for tok in row] for row in tokens])
+        try:
+            want = connectivity.ConnectivityMatrix(
+                tuple(f"n{k}" for k in range(p)), values).values
+        except ValidationError as invalid:
+            with pytest.raises(DataError, match=re.escape(str(invalid))):
+                read_matrix_csv(path)
+            return
+        assert read_matrix_csv(path).values.tobytes() == want.tobytes()

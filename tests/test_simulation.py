@@ -37,6 +37,16 @@ class TestConfig:
         with pytest.raises(ValidationError, match="/permutation_fractions/1"):
             sim.SimulationConfig(seed=1, permutation_fractions=(0.01, 1.5))
 
+    def test_relabeling_cap(self):
+        # all C(20, 10) relabelings fit, and 2n indices per relabeling count
+        # against the bound at n = 11; 1.4e8 relabelings at n = 20 do not
+        sim.SimulationConfig(seed=1, permutation_fractions=(1.0,))
+        edge = sim.MAX_RELABELING_INDICES / (math.comb(22, 11) * 22)
+        sim.SimulationConfig(seed=1, n=11, permutation_fractions=(edge * 0.999,))
+        for n, f in ((11, edge * 1.001), (20, 0.001)):
+            with pytest.raises(ValidationError, match="/permutation_fractions/0"):
+                sim.SimulationConfig(seed=1, n=n, permutation_fractions=(f,))
+
     def test_zero_replications(self):
         with pytest.raises(ValidationError, match="/replications"):
             sim.SimulationConfig(seed=1, replications=0)
