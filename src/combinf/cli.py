@@ -14,7 +14,8 @@ from decimal import Decimal
 from pathlib import Path
 
 from . import exact, mst, simulation, svgplot
-from .connectivity import heritability_index, twin_edgewise_correlation
+from .connectivity import (DegenerateEdgeWarning, heritability_index,
+                           twin_edgewise_correlation)
 from .errors import DataError, ValidationError
 from .matrixio import CohortManifest, read_matrix_csv, write_matrix_csv
 
@@ -125,12 +126,22 @@ def _output_dir(path) -> Path:
     return out
 
 
+def _twin_map(manifest, symmetrize):
+    """One cohort's twin map, loaded and correlated alone; each degenerate
+    edge is reported on one stderr line, without the library warning's
+    source line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateEdgeWarning)
+        c = twin_edgewise_correlation(
+            CohortManifest.load(manifest).load_cohort(), symmetrize=symmetrize)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return c
+
+
 def cmd_heritability(args) -> int:
-    # one cohort in memory at a time
-    c_mz = twin_edgewise_correlation(CohortManifest.load(args.mz).load_cohort(),
-                                     symmetrize=args.symmetrize)
-    c_dz = twin_edgewise_correlation(CohortManifest.load(args.dz).load_cohort(),
-                                     symmetrize=args.symmetrize)
+    c_mz = _twin_map(args.mz, args.symmetrize)
+    c_dz = _twin_map(args.dz, args.symmetrize)
     if c_mz.labels != c_dz.labels:
         raise DataError("MZ and DZ cohorts have different node labels")
     hi = heritability_index(c_mz, c_dz)

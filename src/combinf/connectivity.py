@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ValidationError
 
@@ -133,11 +132,31 @@ def pearson_correlation_matrix(data: DataMatrix | np.ndarray,
     return ConnectivityMatrix(labels=tuple(labels), values=corr)
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """Average ranks, 1-based, of each column of a 2-D array of finite
+    values: a block of tied values shares the mean of its positions. The
+    ranks are multiples of 1/2, so exact in float64."""
+    order = np.argsort(x, axis=0)
+    sorted_x = np.take_along_axis(x, order, axis=0)
+    n = len(x)
+    pos = np.arange(n)[:, None]
+    # starts[i]: row i of the sorted column opens a block of ties
+    starts = np.ones(x.shape, dtype=bool)
+    starts[1:] = sorted_x[1:] != sorted_x[:-1]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=0)
+    ends = np.ones(x.shape, dtype=bool)  # row i closes a block
+    ends[:-1] = starts[1:]
+    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[::-1], axis=0)[::-1]
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=0)
+    return ranks
+
+
 def _midrank_pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pearson correlation of the midranks of each column of two (n x m)
     arrays; centred midranks are multiples of 1/2, so every sum is exact."""
-    ra = rankdata(a, axis=0)
-    rb = rankdata(b, axis=0)
+    ra = _midranks(a)
+    rb = _midranks(b)
     ra -= ra.mean(axis=0)
     rb -= rb.mean(axis=0)
     return (ra * rb).sum(axis=0) / np.sqrt((ra * ra).sum(axis=0)

@@ -22,7 +22,7 @@ def read_matrix_csv(path) -> ConnectivityMatrix:
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError(f"cannot read {path}: {err}") from err
     if not rows:
         raise DataError(f"{path}: empty file")

@@ -315,6 +315,16 @@ def permutation_test(group_a: DataMatrix, group_b: DataMatrix,
             f"permutation test needs groups of equal n, got {group_a.n} "
             f"and {group_b.n}")
     d_obs = observed_discrepancy(group_a, group_b, weight_mode)
+    return _permutation_pvalue(group_a, group_b, d_obs, num_permutations,
+                               stream, add_one, exhaustive, weight_mode)
+
+
+def _permutation_pvalue(group_a: DataMatrix, group_b: DataMatrix, d_obs: int,
+                        num_permutations: int, stream: RngStream,
+                        add_one: bool = False, exhaustive: bool = False,
+                        weight_mode: str = "one_minus") -> float:
+    """permutation_test of two groups of equal n whose observed_discrepancy
+    is d_obs."""
     if num_permutations < 1:
         raise ValidationError(
             f"need at least 1 permutation, got {num_permutations}")
@@ -323,7 +333,7 @@ def permutation_test(group_a: DataMatrix, group_b: DataMatrix,
     if num_permutations > cap:
         warnings.warn(
             f"requested {num_permutations} permutations but only {cap} "
-            "distinct relabelings exist; capping", stacklevel=2)
+            "distinct relabelings exist; capping", stacklevel=3)
         num_permutations = cap
     one_minus = _one_minus_flag(weight_mode)
     pooled = np.vstack([group_a.values, group_b.values])
@@ -372,13 +382,15 @@ def run_experiment(cfg: SimulationConfig, progress=None) -> ExperimentReport:
             base = (g * cfg.replications + r) * streams_per_trial
             data_a, data_b = simulate_modular_pair(
                 cfg.n, cfg.p, ka, kb, cfg.sigma, RngStream(cfg.seed, base))
-            cell["combinatorial"].append(
-                run_combinatorial_trial(data_a, data_b, cfg.weight_mode))
+            # one observed D per trial, for the exact null and every
+            # permutation null alike
+            d = observed_discrepancy(data_a, data_b, cfg.weight_mode)
+            cell["combinatorial"].append(exact_pvalue(cfg.p - 1, d).real_value)
             for fi, frac in enumerate(cfg.permutation_fractions):
-                num = permutation_count(frac, cfg.n)
-                pv = permutation_test(data_a, data_b, num,
-                                      RngStream(cfg.seed, base + 1 + fi),
-                                      weight_mode=cfg.weight_mode)
+                pv = _permutation_pvalue(
+                    data_a, data_b, d, permutation_count(frac, cfg.n),
+                    RngStream(cfg.seed, base + 1 + fi),
+                    weight_mode=cfg.weight_mode)
                 cell[_method_label(frac)].append(pv)
             if progress is not None:
                 progress(label, r + 1, cfg.replications)

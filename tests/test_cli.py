@@ -74,6 +74,15 @@ class TestMatrixCsv:
         with pytest.raises(DataError):
             read_matrix_csv(tmp_path / "nope.csv")
 
+    def test_field_past_csv_limit_exit_2(self, tmp_path, capsys):
+        # The csv module refuses a field over 131,072 characters.
+        path = tmp_path / "long.csv"
+        path.write_text("1" * 200_000 + ",0\n0,1\n")
+        assert cli.main(["compare", str(path), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {path}: ")
+        assert "field larger than field limit" in err
+
 
 class TestManifest:
     def write_cohort(self, rng, tmp_path, labels, m=3):
@@ -282,6 +291,66 @@ class TestCliHeritability:
         assert ("data error: MZ and DZ cohorts have different node labels"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    def test_degenerate_edges_one_stderr_line_each(self, rng, tmp_path):
+        # A subprocess, so that stderr is what a user sees. Edge (x, y) is
+        # constant in both cohorts, edge (y, z) in the DZ cohort only.
+        labels = ("x", "y", "z")
+        manifests = []
+        for cohort, constant in (("mz", [(0, 1)]), ("dz", [(0, 1), (1, 2)])):
+            entries = []
+            for k in range(4):
+                names = []
+                for side in "ab":
+                    values = random_corr(rng, labels).values.copy()
+                    for i, j in constant:
+                        values[i, j] = values[j, i] = 0.25
+                    path = tmp_path / f"{cohort}_{side}{k}.csv"
+                    write_matrix_csv(ConnectivityMatrix(labels, values), path)
+                    names.append(path.name)
+                entries.append({"a": names[0], "b": names[1]})
+            manifests.append(tmp_path / f"{cohort}.json")
+            manifests[-1].write_text(json.dumps({"pairs": entries}))
+        src = os.path.dirname(os.path.dirname(combinf.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "combinf.cli", "heritability",
+             "--mz", str(manifests[0]), "--dz", str(manifests[1]),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        degenerate = "is constant across pairs; correlation set to 0"
+        assert [line for line in done.stderr.splitlines()
+                if "tied weights" not in line] == [
+            f"warning: edge (x, y) {degenerate}",
+            f"warning: edge (x, y) {degenerate}",
+            f"warning: edge (y, z) {degenerate}",
+        ]
+
+
+def test_cli_runs_without_scipy(rng, tmp_path):
+    # scipy is a test dependency only: with its import blocked, the
+    # commands still run, and nothing under scipy is loaded.
+    manifest = TestManifest().write_cohort(rng, tmp_path, ("x", "y", "z"), m=4)
+    code = """if True:
+        import json, sys
+        sys.modules["scipy"] = None
+        import combinf
+        from combinf import cli
+        rcs = [cli.main(["pvalue", "--q", "115", "--d", "46"]),
+               cli.main(["heritability", "--mz", sys.argv[1],
+                         "--dz", sys.argv[1], "--out", sys.argv[2]])]
+        loaded = [name for name, module in sys.modules.items()
+                  if name.split(".")[0] == "scipy" and module is not None]
+        print(json.dumps({"rcs": rcs, "scipy": loaded}))
+    """
+    src = os.path.dirname(os.path.dirname(combinf.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(manifest), str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"rcs": [0, 0], "scipy": []}
 
 
 class TestCliSimulate:

@@ -1,7 +1,8 @@
 """Property tests: the exact null against its oracles, the exit codes of
 `combinf pvalue`, the production spanning tree against the reference
-Kruskal, the twin map against an edge-by-edge Spearman loop, and the matrix
-CSV reader against float(), on inputs drawn by hypothesis.
+Kruskal, the midranks against scipy's rankdata, the twin map against an
+edge-by-edge Spearman loop, and the matrix CSV reader against float(), on
+inputs drawn by hypothesis.
 
 Examples are few and derandomized, so the suite stays fast and repeatable.
 """
@@ -20,7 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.stats import ks_2samp, rankdata
 
 from combinf import cli, connectivity, exact, mst
 from combinf.errors import DataError, ValidationError
@@ -95,6 +97,19 @@ def test_mst_from_connectivity_matches_kruskal(p, mode, data):
     got = mst.mst_from_connectivity(s, mode)
     assert got.tree_edges == ref.tree_edges
     assert got.component_count == ref.component_count
+
+
+@FEW
+@given(x=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+                elements=st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0]),
+                                   st.floats(allow_nan=False,
+                                             allow_infinity=False))))
+def test_midranks_match_rankdata(x):
+    # Few distinct values, so columns tie often; single rows included.
+    want = rankdata(x, axis=0)
+    got = connectivity._midranks(x)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def _edge_loop_twin_map(cohort, symmetrize):

@@ -217,6 +217,26 @@ class TestExperiment:
         r2 = sim.run_experiment(cfg)
         assert r1.to_json_text() == r2.to_json_text()
 
+    def test_cells_match_the_public_trial_functions(self):
+        # run_experiment computes each trial's D once; the public functions,
+        # which compute it per call, give the same p-values on the same
+        # streams.
+        cfg = sim.SimulationConfig(**{**self.CFG, "permutation_fractions": (0.05, 0.1)})
+        report = sim.run_experiment(cfg)
+        for g, (ka, kb) in enumerate(cfg.pairings):
+            cell = report.pvalues[f"{ka} vs {kb}"]
+            for r in range(cfg.replications):
+                base = (g * cfg.replications + r) * 3
+                a, b = sim.simulate_modular_pair(cfg.n, cfg.p, ka, kb, cfg.sigma,
+                                                 sim.RngStream(cfg.seed, base))
+                assert cell["combinatorial"][r] == sim.run_combinatorial_trial(
+                    a, b, cfg.weight_mode)
+                for fi, frac in enumerate(cfg.permutation_fractions):
+                    assert cell[f"permute_{frac * 100:g}%"][r] == sim.permutation_test(
+                        a, b, sim.permutation_count(frac, cfg.n),
+                        sim.RngStream(cfg.seed, base + 1 + fi),
+                        weight_mode=cfg.weight_mode)
+
     def test_single_replication_zero_std(self):
         cfg = sim.SimulationConfig(**{**self.CFG, "replications": 1})
         report = sim.run_experiment(cfg)
