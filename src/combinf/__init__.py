@@ -14,7 +14,6 @@ from .connectivity import (
 from .errors import DataError, EnumerationLimitError, ValidationError
 from .exact import (
     DiscrepancyResult,
-    ExactPValue,
     MonotoneSequence,
     brute_force_pvalue,
     count_band_paths,
@@ -22,7 +21,6 @@ from .exact import (
     exact_pvalue,
 )
 from .mst import (
-    MstComparison,
     SpanningForest,
     WeightMode,
     compare_msts,
@@ -45,13 +43,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConnectivityMatrix", "DataError", "DataMatrix", "DiscrepancyResult",
-    "EnumerationLimitError", "ExactPValue", "ExperimentReport",
-    "MonotoneSequence", "MstComparison", "RngStream", "SimulationConfig",
-    "SpanningForest", "TwinCohort", "ValidationError", "WeightMode",
-    "brute_force_pvalue", "compare_msts", "count_band_paths", "discrepancy",
-    "exact_pvalue", "growth_curve", "heritability_index", "kernel_backend",
-    "localize_nodes", "mst_from_connectivity", "pearson_correlation_matrix",
-    "permutation_test", "run_combinatorial_trial", "run_experiment",
-    "simulate_modular_data", "simulate_modular_pair", "spearman_correlation",
+    "EnumerationLimitError", "ExperimentReport", "MonotoneSequence",
+    "RngStream", "SimulationConfig", "SpanningForest", "TwinCohort",
+    "ValidationError", "WeightMode", "brute_force_pvalue", "compare_msts",
+    "count_band_paths", "discrepancy", "exact_pvalue", "growth_curve",
+    "heritability_index", "kernel_backend", "localize_nodes",
+    "mst_from_connectivity", "pearson_correlation_matrix", "permutation_test",
+    "run_combinatorial_trial", "run_experiment", "simulate_modular_data",
+    "simulate_modular_pair", "spearman_correlation",
     "twin_edgewise_correlation",
 ]

@@ -4,13 +4,14 @@ statistic batched over groups.
 ``prim_sorted_keys`` (a dense Prim of p - 1 vectorised argmin steps over a
 stack of key matrices) is the package's only MST routine. Two kernels are the
 one definition of the statistic: ``sorted_mst_weights`` (data -> column
-correlations -> sorted MST weights, for a stack of groups) and
+``correlations`` -> sorted MST weights, for a stack of groups) and
 ``discrepancies`` (two rows of sorted weights -> D_q and the smallest merged
 value attaining it, absorbing values equal across the rows).
 ``permutation_null`` chains them over chunks of relabelings,
 ``simulation.observed_discrepancy`` over one pair of groups, and
 ``exact.discrepancy`` calls ``discrepancies`` alone;
-``mst.mst_from_connectivity`` calls ``prim_sorted_keys`` on edge ranks. All
+``mst.mst_from_connectivity`` calls ``prim_sorted_keys`` on edge ranks and
+``connectivity.pearson_correlation_matrix`` calls ``correlations``. All
 kernels are plain numpy.
 """
 
@@ -53,23 +54,21 @@ def prim_sorted_keys(w):
     return out
 
 
-def sorted_mst_weights(x, one_minus,
-                       describe=lambda k, j: f"column {j} is constant in group {k}"):
-    """Sorted correlation-MST edge weights of each group in a stack.
-
-    x is (m, n, p): m groups of n observations of p nodes. The edge weight is
-    the column Pearson correlation, or 1 - correlation when one_minus is set,
-    and the tree spans all p nodes. Returns an (m, p - 1) array. The column
-    means are summed row by row and every Gram matrix is its own product, so
-    each weight is the same double as for that group alone. A column that is
-    constant within a group has no correlation: that raises ValidationError
-    with ``describe(k, j)`` for the first such column j, in group k.
+def correlations(x, describe):
+    """Column Pearson correlations of each group in an (m, n, p) stack of m
+    groups of n observations of p nodes; returns (m, p, p), exactly
+    symmetric, with the diagonal as computed. The data are made C-ordered
+    and the column means summed row by row, and every Gram matrix is its own
+    product, so each correlation is the same double whatever the memory
+    layout of x and as for that group alone. A column that is constant
+    within a group raises ValidationError with ``describe(k, j)`` for the
+    first such column j, in group k.
     """
+    x = np.ascontiguousarray(x)
     const = x.max(axis=1) == x.min(axis=1)
     if const.any():
         k, j = np.argwhere(const)[0]
-        raise ValidationError(
-            f"{describe(k, j)}, so its correlations are undefined")
+        raise ValidationError(describe(k, j))
     m, n, p = x.shape
     mean = np.zeros((m, p))
     for r in range(n):
@@ -79,11 +78,22 @@ def sorted_mst_weights(x, one_minus,
     gram = np.matmul(np.ascontiguousarray(a.transpose(0, 2, 1)), a)
     diag = np.diagonal(gram, axis1=1, axis2=2)
     corr = gram / np.sqrt(diag[:, :, None] * diag[:, None, :])
-    w = 1.0 - corr if one_minus else corr
     # Mirror the upper triangle: the product need not be exactly symmetric.
-    w = np.where(np.triu(np.ones((p, p), dtype=bool), 1), w,
-                 w.transpose(0, 2, 1))
-    return prim_sorted_keys(w)
+    return np.where(np.triu(np.ones((p, p), dtype=bool), 1), corr,
+                    corr.transpose(0, 2, 1))
+
+
+def sorted_mst_weights(x, one_minus,
+                       describe=lambda k, j: f"column {j} is constant in group {k}"):
+    """Sorted correlation-MST edge weights of each group in an (m, n, p)
+    stack: the ``correlations`` of each group, or 1 - correlation when
+    one_minus is set, as edge weights of a tree spanning all p nodes.
+    Returns an (m, p - 1) array. A constant column raises ValidationError
+    with ``describe(k, j)``.
+    """
+    corr = correlations(
+        x, lambda k, j: f"{describe(k, j)}, so its correlations are undefined")
+    return prim_sorted_keys(1.0 - corr if one_minus else corr)
 
 
 def discrepancies(wa, wb):

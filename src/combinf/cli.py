@@ -11,6 +11,7 @@ import json
 import sys
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 from . import exact, mst, simulation, svgplot
@@ -35,11 +36,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _format_pvalue(pv: exact.ExactPValue) -> str:
+def _format_pvalue(pv: Fraction) -> str:
     # Decimal prints integers of any length; str() of an int refuses more
     # than sys.get_int_max_str_digits() digits, which C(2q, q) passes at
     # q ~ 7140. These integers are computed here, not read from input.
-    return (f"{pv.real_value:.6g} (exact {Decimal(pv.numerator)}/"
+    return (f"{float(pv):.6g} (exact {Decimal(pv.numerator)}/"
             f"{Decimal(pv.denominator)})")
 
 
@@ -76,11 +77,11 @@ def _compare_report(ma, mb, mode, name_a, name_b, localize_center=None,
     with warnings.catch_warnings():
         # reported once, below, without the library warning's source line
         warnings.simplefilter("ignore", exact.TieWarning)
-        cmp = mst.compare_msts(weights_a, weights_b)
-    print(f"q = {cmp.q}")
-    print(f"D = {cmp.d} at weight {cmp.argmax_weight:.6g}")
-    print(f"p-value = {_format_pvalue(cmp.p_value)}")
-    if cmp.ties_absorbed:
+        res, pv = mst.compare_msts(weights_a, weights_b)
+    print(f"q = {res.q}")
+    print(f"D = {res.d} at weight {res.argmax_location:.6g}")
+    print(f"p-value = {_format_pvalue(pv)}")
+    if res.ties_absorbed:
         print("warning: tied weights across sequences were absorbed; "
               "exactness assumes tie-free data", file=sys.stderr)
     curve_a = mst.growth_curve(weights_a)
@@ -93,7 +94,7 @@ def _compare_report(ma, mb, mode, name_a, name_b, localize_center=None,
             print(f"  {label}")
     if svg:
         svgplot.write_growth_curve_svg(svg, curve_a, curve_b, name_a, name_b,
-                                       marker_weight=cmp.argmax_weight)
+                                       marker_weight=res.argmax_location)
     if csv_out:
         _write_step_csv(csv_out, curve_a, curve_b, name_a, name_b)
     return 0

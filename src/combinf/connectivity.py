@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import correlations
 from .errors import ValidationError
 
 # Largest |a_ij - a_ji| of a symmetric connectivity matrix or matrix CSV.
@@ -116,16 +117,13 @@ def _default_labels(p: int) -> tuple[str, ...]:
 
 def pearson_correlation_matrix(data: DataMatrix | np.ndarray,
                                labels=None) -> ConnectivityMatrix:
-    """Sample Pearson correlation between columns; exactly symmetric with a
-    unit diagonal."""
+    """Sample Pearson correlation between columns, by the permutation
+    null's ``correlations`` kernel, so the same data give the same doubles;
+    exactly symmetric with a unit diagonal."""
     values = (data.values if isinstance(data, DataMatrix)
               else np.asarray(data, dtype=np.float64))
-    # max == min, not std == 0: a column of 0.1s has std 1.4e-17.
-    zero = np.flatnonzero(values.max(axis=0) == values.min(axis=0))
-    if zero.size:
-        raise ValidationError(f"column {zero[0]} has zero variance")
-    corr = np.corrcoef(values, rowvar=False)
-    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    corr = correlations(values[None],
+                        lambda k, j: f"column {j} has zero variance")[0]
     np.fill_diagonal(corr, 1.0)
     if labels is None:
         labels = _default_labels(values.shape[1])

@@ -65,23 +65,6 @@ class DiscrepancyResult:
     ties_absorbed: bool = False
 
 
-@dataclass(frozen=True)
-class ExactPValue:
-    """P(D_q >= d) as an exact reduced rational plus its double rounding."""
-
-    numerator: int
-    denominator: int
-    real_value: float
-
-    @classmethod
-    def from_fraction(cls, frac: Fraction) -> "ExactPValue":
-        return cls(frac.numerator, frac.denominator, float(frac))
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-
 def discrepancy(seq_a: MonotoneSequence, seq_b: MonotoneSequence) -> DiscrepancyResult:
     """Maximum absolute gap between the two step functions over all t.
 
@@ -138,9 +121,9 @@ def count_band_paths(q: int, d: int) -> int:
     return prev[q]
 
 
-def exact_pvalue(q: int, d: int) -> ExactPValue:
+def exact_pvalue(q: int, d: int) -> Fraction:
     """P(D_q >= d) = 2 sum_{k>=1} (-1)^(k+1) C(2q, q - kd) / C(2q, q),
-    exactly (Gnedenko & Korolyuk 1951).
+    as an exact reduced Fraction (Gnedenko & Korolyuk 1951).
 
     C(2q, j) is walked down from j = q by the exact integer step
     C(2q, j - 1) = C(2q, j) j / (2q - j + 1), so the sum costs at most q
@@ -150,7 +133,7 @@ def exact_pvalue(q: int, d: int) -> ExactPValue:
     """
     _validate_qd(q, d, d_min=0)
     if d == 0:
-        return ExactPValue.from_fraction(Fraction(1))
+        return Fraction(1)
     central = c = math.comb(2 * q, q)
     tail = 0
     for j in range(q, q % d, -1):
@@ -158,7 +141,7 @@ def exact_pvalue(q: int, d: int) -> ExactPValue:
         k, r = divmod(q - j + 1, d)
         if r == 0:
             tail += c if k % 2 else -c
-    return ExactPValue.from_fraction(Fraction(2 * tail, central))
+    return Fraction(2 * tail, central)
 
 
 @lru_cache(maxsize=None)

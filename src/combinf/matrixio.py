@@ -129,5 +129,5 @@ class CohortManifest:
             pairs.append((ma, mb))
         try:
             return TwinCohort(pairs=tuple(pairs))
-        except Exception as err:
+        except ValidationError as err:
             raise DataError(f"inconsistent cohort: {err}") from err

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,17 +39,6 @@ class SpanningForest:
         the result)."""
         return exact.MonotoneSequence(
             tuple(sorted(w for _, _, w in self.tree_edges)))
-
-
-@dataclass(frozen=True)
-class MstComparison:
-    """Result of comparing two spanning trees' sorted weight sequences."""
-
-    d: int
-    argmax_weight: float
-    p_value: exact.ExactPValue
-    q: int
-    ties_absorbed: bool = False
 
 
 def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
@@ -100,12 +90,12 @@ def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
 
 
 def compare_msts(weights_a: exact.MonotoneSequence,
-                 weights_b: exact.MonotoneSequence) -> MstComparison:
-    """Exact test of equality of two trees' sorted weight sequences."""
+                 weights_b: exact.MonotoneSequence,
+                 ) -> tuple[exact.DiscrepancyResult, Fraction]:
+    """Exact test of equality of two trees' sorted weight sequences: their
+    discrepancy and its exact p-value P(D_q >= d)."""
     res = exact.discrepancy(weights_a, weights_b)
-    pv = exact.exact_pvalue(res.q, res.d)
-    return MstComparison(d=res.d, argmax_weight=res.argmax_location, p_value=pv,
-                         q=res.q, ties_absorbed=res.ties_absorbed)
+    return res, exact.exact_pvalue(res.q, res.d)
 
 
 def localize_nodes(mst_a: SpanningForest, mst_b: SpanningForest,

@@ -29,9 +29,9 @@ def test_criterion_1_worked_example_exact():
     pv = c.exact_pvalue(3, 2)
     corner = c.count_band_paths(3, 2)
     elapsed = time.perf_counter() - t0
-    ok = (pv.numerator, pv.denominator) == (3, 5) and pv.real_value == 0.6 and corner == 8
+    ok = (pv.numerator, pv.denominator) == (3, 5) and float(pv) == 0.6 and corner == 8
     report("criterion 1: worked example exactness", ok,
-           f"p=3/5={pv.real_value}, A33={corner}, {elapsed * 1e3:.2f} ms")
+           f"p=3/5={float(pv)}, A33={corner}, {elapsed * 1e3:.2f} ms")
 
 
 def test_criterion_2_twin_pvalue():
@@ -53,11 +53,11 @@ def test_criterion_2_twin_pvalue():
     # Oracle 3: the band DP, 1 - (paths inside |u - v| < d) / C(2q, q).
     band = 1 - Fraction(c.count_band_paths(q, d), math.comb(2 * q, q))
 
-    ok = (pv.fraction == closed_form == band
-          and math.isclose(pv.real_value, ks.pvalue, rel_tol=1e-12)
+    ok = (pv == closed_form == band
+          and math.isclose(float(pv), ks.pvalue, rel_tol=1e-12)
           and elapsed < 0.1)
     report("criterion 2: exact twin p-value at q=115, d=46", ok,
-           f"exact_pvalue(115,46)={pv.real_value:.6g}, closed form "
+           f"exact_pvalue(115,46)={float(pv):.6g}, closed form "
            f"{float(closed_form):.6g}, band DP {float(band):.6g}, "
            f"ks_2samp {ks.pvalue:.6g}, "
            f"{elapsed * 1e3:.1f} ms (the published 1.57e-8 is the q=116 "
@@ -69,7 +69,7 @@ def test_criterion_2_companion_published_value_is_q_116():
     # the q=116 band count, not q=115.
     pv = c.exact_pvalue(116, 46)
     report("criterion 2 companion: q=116 reproduces the published 1.57e-8",
-           1.55e-8 <= pv.real_value <= 1.60e-8, f"{pv.real_value:.6g}")
+           1.55e-8 <= float(pv) <= 1.60e-8, f"{float(pv):.6g}")
 
 
 def test_criterion_3_oracle_equivalence():
@@ -77,7 +77,7 @@ def test_criterion_3_oracle_equivalence():
     worst = 0.0
     for q in range(1, 9):
         for d in range(0, q + 2):
-            gap = abs(c.exact_pvalue(q, d).real_value - c.brute_force_pvalue(q, d))
+            gap = abs(float(c.exact_pvalue(q, d)) - c.brute_force_pvalue(q, d))
             worst = max(worst, gap)
     elapsed = time.perf_counter() - t0
     report("criterion 3: exact p-value equals brute-force oracle (q<=8)",
@@ -86,14 +86,14 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_boundary_laws_and_monotonicity():
-    ok = all(c.exact_pvalue(q, 1).fraction == 1
-             and c.exact_pvalue(q, q + 1).fraction == 0
+    ok = all(c.exact_pvalue(q, 1) == 1
+             and c.exact_pvalue(q, q + 1) == 0
              for q in range(1, 201))
     mono = True
     for q in (10, 115):
         prev = Fraction(2)
         for d in range(0, q + 2):
-            cur = c.exact_pvalue(q, d).fraction
+            cur = c.exact_pvalue(q, d)
             mono &= cur <= prev
             prev = cur
     report("criterion 4: boundary laws q<=200 and monotonicity in d", ok and mono)

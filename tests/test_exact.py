@@ -96,40 +96,41 @@ class TestBandCounts:
         for q in range(1, 61):
             total = math.comb(2 * q, q)
             for d in range(1, q + 2):
-                assert (exact.exact_pvalue(q, d).fraction
+                assert (exact.exact_pvalue(q, d)
                         == 1 - Fraction(exact.count_band_paths(q, d), total))
-            assert exact.exact_pvalue(q, 0).fraction == 1
-            assert exact.exact_pvalue(q, q + 5).fraction == 0
+            assert exact.exact_pvalue(q, 0) == 1
+            assert exact.exact_pvalue(q, q + 5) == 0
 
 
 class TestExactPValue:
     def test_worked_example(self):
         pv = exact.exact_pvalue(3, 2)
+        assert type(pv) is Fraction
         assert (pv.numerator, pv.denominator) == (3, 5)
-        assert pv.real_value == 0.6
+        assert float(pv) == 0.6
 
     def test_two_extreme_paths(self):
         pv = exact.exact_pvalue(3, 3)
-        assert pv.real_value == 0.1
+        assert float(pv) == 0.1
 
     def test_d_zero_is_one(self):
         pv = exact.exact_pvalue(9, 0)
-        assert (pv.numerator, pv.denominator, pv.real_value) == (1, 1, 1.0)
+        assert (pv.numerator, pv.denominator, float(pv)) == (1, 1, 1.0)
 
     def test_d_above_q_is_zero(self):
         pv = exact.exact_pvalue(4, 5)
-        assert pv.real_value == 0.0
+        assert float(pv) == 0.0
 
     @pytest.mark.parametrize("q", [1, 2, 5, 31, 115, 200])
     def test_boundary_laws(self, q):
-        assert exact.exact_pvalue(q, 1).fraction == 1
-        assert exact.exact_pvalue(q, q + 1).fraction == 0
+        assert exact.exact_pvalue(q, 1) == 1
+        assert exact.exact_pvalue(q, q + 1) == 0
 
     @pytest.mark.parametrize("q", [10, 115])
     def test_monotone_in_d(self, q):
         prev = Fraction(2)
         for d in range(0, q + 2):
-            cur = exact.exact_pvalue(q, d).fraction
+            cur = exact.exact_pvalue(q, d)
             assert cur <= prev
             prev = cur
 
@@ -162,7 +163,7 @@ class TestBruteForceOracle:
     def test_matches_dp_everywhere(self):
         for q in range(1, 9):
             for d in range(0, q + 2):
-                dp = exact.exact_pvalue(q, d).real_value
+                dp = float(exact.exact_pvalue(q, d))
                 bf = exact.brute_force_pvalue(q, d)
                 assert dp == pytest.approx(bf, abs=1e-12)
 

@@ -95,4 +95,18 @@ def test_group_mst_weights_matches_high_level_pipeline():
         cm = pearson_correlation_matrix(DataMatrix(data))
         weights = mst_from_connectivity(
             cm, WeightMode.ONE_MINUS_SIMILARITY).sorted_weights()
-        assert np.allclose(kernel, weights.values, atol=1e-10)
+        assert np.array_equal(kernel, weights.values)
+
+
+@pytest.mark.parametrize("one_minus", [False, True])
+def test_weights_do_not_depend_on_memory_layout(one_minus):
+    # A Fortran-ordered copy holds the same numbers; the matmul would sum
+    # them in another order unless the kernel makes the data C-ordered.
+    rng = np.random.default_rng(80)
+    for _ in range(40):
+        n, p = int(rng.integers(3, 30)), int(rng.integers(3, 60))
+        data = rng.standard_normal((n, p))
+        c_order = _kernels.sorted_mst_weights(data[None], one_minus)
+        f_order = _kernels.sorted_mst_weights(
+            np.asfortranarray(data)[None], one_minus)
+        assert np.array_equal(c_order, f_order)

@@ -1,14 +1,16 @@
 """Property tests: the exact null against its oracles, the exit codes of
 `combinf pvalue`, the production spanning tree against the reference
 Kruskal, the midranks against scipy's rankdata, the twin map against an
-edge-by-edge Spearman loop, and the matrix CSV reader against float(), on
-inputs drawn by hypothesis.
+edge-by-edge Spearman loop, the matrix CSV reader against float(), and the
+exit codes of `combinf compare`, `heritability` and `simulate` on malformed
+files, on inputs drawn by hypothesis.
 
 Examples are few and derandomized, so the suite stays fast and repeatable.
 """
 
 import csv
 import io
+import json
 import math
 import re
 import tempfile
@@ -26,7 +28,7 @@ from scipy.stats import ks_2samp, rankdata
 
 from combinf import cli, connectivity, exact, mst
 from combinf.errors import DataError, ValidationError
-from combinf.matrixio import read_matrix_csv
+from combinf.matrixio import read_matrix_csv, write_matrix_csv
 from kruskal_reference import kruskal_of_matrix
 
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
@@ -36,7 +38,7 @@ FEW = settings(max_examples=40, deadline=None, derandomize=True)
 @given(q=st.integers(1, exact.BRUTE_FORCE_MAX_Q), data=st.data())
 def test_exact_pvalue_matches_brute_force(q, data):
     d = data.draw(st.integers(0, q + 1))
-    assert math.isclose(exact.exact_pvalue(q, d).real_value,
+    assert math.isclose(float(exact.exact_pvalue(q, d)),
                         exact.brute_force_pvalue(q, d), rel_tol=1e-12)
 
 
@@ -60,7 +62,7 @@ def test_exact_pvalue_matches_ks_2samp(q, data):
     assume(not any("Exact calculation unsuccessful" in str(w.message)
                    for w in caught))
     assert d == round(ks.statistic * q)
-    assert math.isclose(exact.exact_pvalue(q, d).real_value, ks.pvalue,
+    assert math.isclose(float(exact.exact_pvalue(q, d)), ks.pvalue,
                         rel_tol=1e-9)
 
 
@@ -220,3 +222,183 @@ def test_read_matrix_csv_parses_like_float(p, data):
                 read_matrix_csv(path)
             return
         assert read_matrix_csv(path).values.tobytes() == want.tobytes()
+
+
+def _run_cli(argv):
+    """cli.main's exit code and stdout, output captured; an exception
+    escapes and fails the property."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        return cli.main(argv), out.getvalue()
+
+
+def _write(path, doc):
+    """doc as JSON; a str or bytes is written as it is."""
+    if not isinstance(doc, (str, bytes)):
+        doc = json.dumps(doc)
+    with open(path, "wb") as fh:
+        fh.write(doc.encode() if isinstance(doc, str) else doc)
+
+
+# Each exit-code property draws a well-formed input and, half the time, one
+# fault in it, so that runs end in each of the three exit codes.
+_MATRIX_FAULTS = st.one_of(
+    st.tuples(st.just("cell"), st.sampled_from(
+        ["nan", "inf", "-1e400", "1e308", "", " ", "x", "1,5", "\x00"])),
+    st.tuples(st.sampled_from(["short row", "extra row", "one row"]),
+              st.none()),
+    st.tuples(st.just("labels"), st.lists(st.sampled_from("abcd"),
+                                          min_size=1, max_size=5)),
+    st.tuples(st.just("text"), st.one_of(st.text(max_size=20),
+                                         st.binary(max_size=20))))
+
+
+def _matrix_text(s, fault):
+    rows = [[repr(float(v)) for v in row] for row in s]
+    kind, arg = fault
+    if kind == "cell":
+        rows[0][-1] = arg
+    elif kind == "short row":
+        rows[-1].pop()
+    elif kind == "extra row":
+        rows.append(rows[0])
+    elif kind == "one row":
+        rows = rows[:1]
+    elif kind == "labels":
+        rows.insert(0, arg)
+    elif kind == "text":
+        return arg
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@FEW
+@given(p=st.integers(2, 4), mode=st.sampled_from(["distance", "one-minus",
+                                                  "max-tree"]),
+       radius=st.sampled_from([None, -1.0, 0.0, 0.5]), outputs=st.booleans(),
+       fault=st.one_of(st.none(), st.tuples(st.integers(0, 1),
+                                            _MATRIX_FAULTS)),
+       data=st.data())
+def test_cli_compare_exit_codes(p, mode, radius, outputs, fault, data):
+    # Symmetric matrices of halves: ties, and zeros that distance mode
+    # leaves out, so forests may be disconnected.
+    matrices = []
+    for _ in range(2):
+        s = np.zeros((p, p))
+        s[np.triu_indices(p, k=1)] = data.draw(st.lists(
+            st.integers(-2, 2), min_size=p * (p - 1) // 2,
+            max_size=p * (p - 1) // 2))
+        matrices.append((s + s.T) / 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [f"{tmp}/{name}.csv" for name in "AB"]
+        for k, (path, s) in enumerate(zip(paths, matrices)):
+            _write(path, _matrix_text(
+                s, fault[1] if fault and fault[0] == k else (None, None)))
+        argv = ["compare", *paths, "--mode", mode]
+        if radius is not None:
+            argv += ["--localize-center", "0.5", "--localize-radius",
+                     str(radius)]
+        if outputs:
+            argv += ["--svg", f"{tmp}/o.svg", "--csv", f"{tmp}/o.csv"]
+        code, out = _run_cli(argv)
+    assert code in (0, 1, 2)
+    # A negative radius is rejected after the test's result is printed.
+    assert (code == 0) == ("p-value = " in out and radius != -1.0)
+
+
+_MANIFEST_FAULTS = st.sampled_from([
+    ("pairs", 2), ("pairs", "m0.csv"), ("item", {"a": "m0.csv"}),
+    ("item", {"a": 1, "b": "m0.csv"}), ("item", {"a": "missing.csv",
+                                                 "b": "m0.csv"}),
+    ("item", {"a": "bad.csv", "b": "m0.csv"}),
+    ("item", {"a": "short.csv", "b": "short.csv"}),
+    ("labels_from", "short.csv"), ("labels_from", "missing.csv"),
+    ("labels_from", 3), ("doc", "{"), ("doc", []), ("doc", {"pair": []}),
+    ("doc", b"\xff{}")])
+
+
+def _manifest(pairs, fault):
+    doc = {"pairs": [{"a": f"m{a}.csv", "b": f"m{b}.csv"} for a, b in pairs]}
+    kind, arg = fault
+    if kind == "pairs":
+        doc["pairs"] = doc["pairs"][:arg] if isinstance(arg, int) else arg
+    elif kind == "item":
+        doc["pairs"][0] = arg
+    elif kind == "labels_from":
+        doc["labels_from"] = arg
+    elif kind == "doc":
+        return arg
+    return doc
+
+
+@FEW
+@given(grids=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                      min_size=4, max_size=4),
+       pairs=st.lists(st.lists(st.tuples(st.integers(0, 3),
+                                         st.integers(0, 3)),
+                               min_size=3, max_size=5),
+                      min_size=2, max_size=2),
+       symmetrize=st.booleans(),
+       fault=st.one_of(st.none(), st.tuples(st.integers(0, 1),
+                                            _MANIFEST_FAULTS)))
+def test_cli_heritability_exit_codes(grids, pairs, symmetrize, fault):
+    # Four 3-node matrices whose edges take few values, so twin edges tie
+    # and are often constant; a file with a bad cell; and a 2-node file
+    # whose labels do not fit the others.
+    with tempfile.TemporaryDirectory() as tmp:
+        iu = np.triu_indices(3, k=1)
+        for k, grid in enumerate(grids):
+            values = np.eye(3)
+            values[iu] = values.T[iu] = np.array(grid) / 2
+            write_matrix_csv(connectivity.ConnectivityMatrix(
+                ("x", "y", "z"), values), f"{tmp}/m{k}.csv")
+        _write(f"{tmp}/bad.csv", "x,y,z\n1,0,oops\n0,1,0\n0,0,1\n")
+        _write(f"{tmp}/short.csv", "x,y\n1,0\n0,1\n")
+        for k, name in enumerate(("mz", "dz")):
+            _write(f"{tmp}/{name}.json", _manifest(
+                pairs[k], fault[1] if fault and fault[0] == k else (None, None)))
+        argv = ["heritability", "--mz", f"{tmp}/mz.json", "--dz",
+                f"{tmp}/dz.json", "--out", f"{tmp}/out"]
+        code, out = _run_cli(argv + ["--symmetrize"] * symmetrize)
+    assert code in (0, 1, 2)
+    assert (code == 0) == ("p-value = " in out)
+
+
+# Small runs: the defaults of the sizing keys describe the full benchmark
+# table, so every config gives them.
+_CONFIGS = st.fixed_dictionaries(
+    {"seed": st.integers(0, 3), "n": st.integers(2, 5),
+     "p": st.sampled_from([2, 4, 6]), "replications": st.integers(1, 2),
+     "permutation_fractions": st.lists(st.sampled_from([0.01, 0.5, 1]),
+                                       max_size=2),
+     "pairings": st.lists(st.lists(st.integers(0, 2), min_size=2,
+                                   max_size=2), min_size=1, max_size=2)},
+    optional={"sigma": st.sampled_from([0, 0.1, 2]),
+              "weight_mode": st.sampled_from(["correlation", "one_minus"])})
+_CONFIG_FAULTS = st.one_of(
+    st.tuples(st.sampled_from(["seed", "n", "p", "replications"]),
+              st.sampled_from([-1, 0, 1.5, "1", None, True])),
+    st.tuples(st.just("sigma"), st.sampled_from(
+        [-1.0, 1e300, float("nan"), float("inf"), "0.1"])),
+    st.tuples(st.just("permutation_fractions"), st.sampled_from(
+        [[-0.1], [0], [1.5], 0.5, ["0.5"], [float("nan")]])),
+    st.tuples(st.just("pairings"), st.sampled_from(
+        [[], [[1]], [1, 2], [[1.0, 2]], [[-1, 0]], [[5, 0]], "0 vs 0"])),
+    st.tuples(st.sampled_from(["weight_mode", "extra"]),
+              st.sampled_from(["other", 1])),
+    st.tuples(st.just("doc"), st.sampled_from(
+        ["{", "[]", "1", '{"n": 3}', b"\xff{}"])))
+
+
+@FEW
+@given(config=_CONFIGS, fault=st.one_of(st.none(), _CONFIG_FAULTS),
+       out_is_file=st.booleans())
+def test_cli_simulate_exit_codes(config, fault, out_is_file):
+    if fault is not None:
+        key, value = fault
+        config = value if key == "doc" else {**config, key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(f"{tmp}/config.json", config)
+        out_dir = f"{tmp}/config.json" if out_is_file else f"{tmp}/out"
+        code, out = _run_cli(["simulate", "--config", f"{tmp}/config.json",
+                              "--out", out_dir])
+    assert code in (0, 1, 2)
+    assert (code == 0) == out.startswith("pairing")

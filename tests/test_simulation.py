@@ -47,6 +47,11 @@ class TestConfig:
             with pytest.raises(ValidationError, match="/permutation_fractions/0"):
                 sim.SimulationConfig(seed=1, n=n, permutation_fractions=(f,))
 
+    def test_no_pairings(self):
+        # A report with no cells has no table to print.
+        with pytest.raises(ValidationError, match="/pairings: need at least one"):
+            sim.SimulationConfig(seed=1, pairings=())
+
     def test_zero_replications(self):
         with pytest.raises(ValidationError, match="/replications"):
             sim.SimulationConfig(seed=1, replications=0)
@@ -92,6 +97,20 @@ class TestModularData:
         with pytest.raises(ValidationError):
             sim.simulate_modular_data(10, 40, 7, 0.1, sim.RngStream(3, 3))
 
+    def test_matches_per_column_construction(self):
+        # Each column is its module's first column plus its own noise, built
+        # here column by column from the same two draws.
+        n, p, k, sigma = 6, 12, 3, 0.1
+        rng = sim.RngStream(9, 5).generator()
+        x = rng.standard_normal((n, p))
+        noise = rng.standard_normal((n, p)) * sigma
+        c = p // k
+        want = np.empty((n, p))
+        for j in range(p):
+            want[:, j] = x[:, j // c * c] + noise[:, j]
+        got = sim.simulate_modular_data(n, p, k, sigma, sim.RngStream(9, 5))
+        assert np.array_equal(got.values, want)
+
     def test_deterministic(self):
         a = sim.simulate_modular_data(5, 8, 2, 0.1, sim.RngStream(9, 4))
         b = sim.simulate_modular_data(5, 8, 2, 0.1, sim.RngStream(9, 4))
@@ -112,7 +131,7 @@ class TestCombinatorialTrial:
             for mode in sim.WEIGHT_MODES:
                 d = sim.observed_discrepancy(a, b, mode)
                 assert (sim.run_combinatorial_trial(a, b, mode)
-                        == exact_pvalue(39, d).real_value), (sigma, mode)
+                        == float(exact_pvalue(39, d))), (sigma, mode)
 
     def test_groups_may_differ_in_n(self):
         a = sim.simulate_modular_data(8, 20, 4, 0.1, sim.RngStream(5, 3))
@@ -122,7 +141,7 @@ class TestCombinatorialTrial:
         wb = mst_from_connectivity(pearson_correlation_matrix(b),
                                    WeightMode.ONE_MINUS_SIMILARITY).sorted_weights()
         assert (sim.run_combinatorial_trial(a, b)
-                == compare_msts(wa, wb).p_value.real_value)
+                == float(compare_msts(wa, wb)[1]))
 
     def test_constant_column_is_named(self):
         # 0.1 is not a binary fraction, so this column's std is 1.4e-17.
@@ -182,6 +201,25 @@ class TestPermutationTest:
                            match="relabeling 3: column 0 is constant in group A"):
             sim.permutation_test(DataMatrix(a), DataMatrix(b), 20,
                                  sim.RngStream(8, 17), exhaustive=True)
+
+    def test_relabelings_are_the_per_row_permutation_stream(self, monkeypatch):
+        # The sampled relabelings are the rows that rng.permutation(2n),
+        # called once per relabeling, draws from the test's stream.
+        a = sim.simulate_modular_data(5, 6, 2, 0.1, sim.RngStream(8, 21))
+        b = sim.simulate_modular_data(5, 6, 3, 0.1, sim.RngStream(8, 22))
+        seen = []
+        null = sim._kernels.permutation_null
+
+        def record(pooled, perms, one_minus):
+            seen.append(perms.copy())
+            return null(pooled, perms, one_minus)
+
+        monkeypatch.setattr(sim._kernels, "permutation_null", record)
+        sim.permutation_test(a, b, 37, sim.RngStream(8, 23))
+        rng = sim.RngStream(8, 23).generator()
+        want = np.array([rng.permutation(10) for _ in range(37)])
+        assert seen[0].dtype == np.int64
+        assert np.array_equal(seen[0], want)
 
     def test_unequal_n_rejected(self):
         # The exact trial takes groups of any n; relabeling needs equal n.
