@@ -14,7 +14,6 @@ from .connectivity import (
 from .errors import DataError, EnumerationLimitError, ValidationError
 from .exact import (
     DiscrepancyResult,
-    MonotoneSequence,
     brute_force_pvalue,
     count_band_paths,
     discrepancy,
@@ -43,8 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConnectivityMatrix", "DataError", "DataMatrix", "DiscrepancyResult",
-    "EnumerationLimitError", "ExperimentReport", "MonotoneSequence",
-    "RngStream", "SimulationConfig", "SpanningForest", "TwinCohort",
+    "EnumerationLimitError", "ExperimentReport", "RngStream",
+    "SimulationConfig", "SpanningForest", "TwinCohort",
     "ValidationError", "WeightMode", "brute_force_pvalue", "compare_msts",
     "count_band_paths", "discrepancy", "exact_pvalue", "growth_curve",
     "heritability_index", "kernel_backend", "localize_nodes",

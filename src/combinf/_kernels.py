@@ -9,7 +9,8 @@ one definition of the statistic: ``sorted_mst_weights`` (data -> column
 value attaining it, absorbing values equal across the rows).
 ``permutation_null`` chains them over chunks of relabelings,
 ``simulation.observed_discrepancy`` over one pair of groups, and
-``exact.discrepancy`` calls ``discrepancies`` alone;
+``exact.discrepancy`` calls ``discrepancies`` alone on two sorted weight
+arrays;
 ``mst.mst_from_connectivity`` calls ``prim_sorted_keys`` on edge ranks and
 ``connectivity.pearson_correlation_matrix`` calls ``correlations``. All
 kernels are plain numpy.
@@ -60,15 +61,21 @@ def correlations(x, describe):
     symmetric, with the diagonal as computed. The data are made C-ordered
     and the column means summed row by row, and every Gram matrix is its own
     product, so each correlation is the same double whatever the memory
-    layout of x and as for that group alone. A column that is constant
-    within a group raises ValidationError with ``describe(k, j)`` for the
-    first such column j, in group k.
+    layout of x and as for that group alone. Each column is first scaled by
+    the power of two that brings its largest magnitude into [0.5, 1): the
+    scaling is exact, so the correlations keep their bits short of subnormal
+    underflow, and no product overflows whatever the data's scale. A column
+    that is constant within a group raises ValidationError with
+    ``describe(k, j)`` for the first such column j, in group k.
     """
     x = np.ascontiguousarray(x)
-    const = x.max(axis=1) == x.min(axis=1)
+    hi, lo = x.max(axis=1), x.min(axis=1)
+    const = hi == lo
     if const.any():
         k, j = np.argwhere(const)[0]
         raise ValidationError(describe(k, j))
+    # ldexp, not x * 2.0**-e: 2.0**-e overflows for subnormal columns
+    x = np.ldexp(x, -np.frexp(np.maximum(hi, -lo))[1][:, None, :])
     m, n, p = x.shape
     mean = np.zeros((m, p))
     for r in range(n):

@@ -50,6 +50,18 @@ def cmd_pvalue(args) -> int:
     return 0
 
 
+def _radius(text: str) -> float:
+    """--localize-radius: a float >= 0, checked before any output."""
+    try:
+        radius = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not radius >= 0:
+        raise argparse.ArgumentTypeError(f"radius must be >= 0, got {radius}")
+    return radius
+
+
 def _write_step_csv(path, curve_a, curve_b, label_a, label_b) -> None:
     try:
         with Path(path).open("w", newline="") as fh:
@@ -68,12 +80,12 @@ def _compare_report(ma, mb, mode, name_a, name_b, localize_center=None,
     forest_b = mst.mst_from_connectivity(mb, mode)
     # distance mode leaves out zero entries, so a graph can be disconnected
     if (forest_a.component_count != forest_b.component_count
-            or not forest_a.tree_edges):
+            or not forest_a.weights.size):
         raise DataError(
             "spanning forests need the same, nonzero number of edges: "
             f"{name_a} has {forest_a.component_count} component(s), "
             f"{name_b} has {forest_b.component_count} component(s)")
-    weights_a, weights_b = forest_a.sorted_weights(), forest_b.sorted_weights()
+    weights_a, weights_b = forest_a.weights, forest_b.weights
     with warnings.catch_warnings():
         # reported once, below, without the library warning's source line
         warnings.simplefilter("ignore", exact.TieWarning)
@@ -199,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix_b")
     p.add_argument("--mode", choices=sorted(_MODE_MAP), default="distance")
     p.add_argument("--localize-center", type=float, default=None)
-    p.add_argument("--localize-radius", type=float, default=None)
+    p.add_argument("--localize-radius", type=_radius, default=None)
     p.add_argument("--svg", default=None, help="write growth-curve plot")
     p.add_argument("--csv", default=None, help="write both step functions")
     p.set_defaults(func=cmd_compare)
@@ -210,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--symmetrize", action="store_true")
     p.add_argument("--localize-center", type=float, default=None)
-    p.add_argument("--localize-radius", type=float, default=None)
+    p.add_argument("--localize-radius", type=_radius, default=None)
     p.set_defaults(func=cmd_heritability)
 
     p = sub.add_parser("simulate", help="modular-network benchmark")

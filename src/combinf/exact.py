@@ -28,34 +28,6 @@ class TieWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class MonotoneSequence:
-    """Sorted real feature values: finite and nondecreasing. Ties are
-    admitted; ``discrepancy`` absorbs values shared by two sequences and
-    warns."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValidationError("monotone sequence must be nonempty")
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        for j, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise ValidationError(f"values must be finite: values[{j}]={v!r}")
-        for j in range(len(vals) - 1):
-            if vals[j + 1] < vals[j]:
-                raise ValidationError(
-                    f"values must be nondecreasing: values[{j}]={vals[j]!r} vs "
-                    f"values[{j + 1}]={vals[j + 1]!r}"
-                )
-
-    @property
-    def q(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class DiscrepancyResult:
     """Observed maximum gap between two step functions."""
 
@@ -65,20 +37,44 @@ class DiscrepancyResult:
     ties_absorbed: bool = False
 
 
-def discrepancy(seq_a: MonotoneSequence, seq_b: MonotoneSequence) -> DiscrepancyResult:
-    """Maximum absolute gap between the two step functions over all t.
+def _sorted_values(values) -> np.ndarray:
+    """values as a float array, checked to be a nonempty, finite and
+    nondecreasing 1-D sequence; ties are admitted."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValidationError(f"values must be 1-D, got shape {v.shape}")
+    if v.size == 0:
+        raise ValidationError("monotone sequence must be nonempty")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        j = bad[0]
+        raise ValidationError(f"values must be finite: values[{j}]={float(v[j])!r}")
+    down = np.flatnonzero(v[1:] < v[:-1])
+    if down.size:
+        j = down[0]
+        raise ValidationError(
+            f"values must be nondecreasing: values[{j}]={float(v[j])!r} vs "
+            f"values[{j + 1}]={float(v[j + 1])!r}"
+        )
+    return v
+
+
+def discrepancy(a, b) -> DiscrepancyResult:
+    """Maximum absolute gap between the step functions of two sorted 1-D
+    arrays of equal length, over all t.
 
     The sup over continuous t is attained at merged data values; elements
-    equal across the two sequences are absorbed jointly, so identical
-    sequences give d = 0 (with a tie warning, since the exact null assumes
-    continuous data).
+    equal across the two arrays are absorbed jointly, so identical arrays
+    give d = 0 (with a tie warning, since the exact null assumes continuous
+    data).
     """
-    if seq_a.q != seq_b.q:
+    a, b = _sorted_values(a), _sorted_values(b)
+    if a.size != b.size:
         raise ValidationError(
-            f"sequences must have equal length, got {seq_a.q} and {seq_b.q}"
+            f"sequences must have equal length, got {a.size} and {b.size}"
         )
-    d, loc = discrepancies(np.array([seq_a.values]), np.array([seq_b.values]))
-    ties = not set(seq_a.values).isdisjoint(seq_b.values)
+    d, loc = discrepancies(a[None], b[None])
+    ties = bool(np.isin(a, b).any())
     if ties:
         warnings.warn(
             "values shared across both sequences were absorbed jointly; "
@@ -87,7 +83,7 @@ def discrepancy(seq_a: MonotoneSequence, seq_b: MonotoneSequence) -> Discrepancy
             stacklevel=2,
         )
     return DiscrepancyResult(d=int(d[0]), argmax_location=float(loc[0]),
-                             q=seq_a.q, ties_absorbed=ties)
+                             q=a.size, ties_absorbed=ties)
 
 
 def _validate_qd(q: int, d: int, d_min: int) -> None:

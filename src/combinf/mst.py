@@ -1,6 +1,7 @@
 """Minimum (and maximum) spanning trees from connectivity matrices, built by
-the null's dense Prim keyed by Kruskal's edge order, plus comparison of two
-trees through the exact discrepancy test."""
+the null's dense Prim keyed by Kruskal's edge order and held as edge and
+weight arrays sorted by weight, plus comparison of two trees' weight arrays
+through the exact discrepancy test."""
 
 from __future__ import annotations
 
@@ -24,21 +25,20 @@ class WeightMode(str, Enum):
     MAX_TREE = "max_tree"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanningForest:
-    """Spanning forest: tree edges in Kruskal's insertion order plus the
-    component count."""
+    """Spanning forest: its k tree edges as a (k, 2) int array of node index
+    pairs i < j and a (k,) float array of their weights, rows ordered by
+    (weight, i, j), so the weights are nondecreasing. Real correlation data
+    can tie; the discrepancy statistic absorbs ties (flagging the result)."""
 
     node_labels: tuple[str, ...]
-    tree_edges: tuple[tuple[int, int, float], ...]
-    component_count: int
+    edges: np.ndarray
+    weights: np.ndarray
 
-    def sorted_weights(self) -> exact.MonotoneSequence:
-        """The tree edge weights w_1 <= ... <= w_{p-1}; real correlation
-        data can tie, and the discrepancy statistic absorbs ties (flagging
-        the result)."""
-        return exact.MonotoneSequence(
-            tuple(sorted(w for _, _, w in self.tree_edges)))
+    @property
+    def component_count(self) -> int:
+        return len(self.node_labels) - len(self.weights)
 
 
 def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
@@ -80,19 +80,16 @@ def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
     keys[0, iu, ju] = keys[0, ju, iu] = rank
     taken = prim_sorted_keys(keys)[0]
     tree = order[taken[taken < E].astype(np.int64)]
-    edges = [(int(iu[t]), int(ju[t]), float(report[t])) for t in tree]
-    if mode is WeightMode.MAX_TREE:
-        # insertion order was by descending similarity; normalize to the
-        # nondecreasing-weight convention of SpanningForest
-        edges.sort(key=lambda e: (e[2], e[0], e[1]))
-    return SpanningForest(node_labels=conn.labels, tree_edges=tuple(edges),
-                          component_count=p - len(edges))
+    # Kruskal's insertion order is already (weight, i, j) except in max_tree
+    # mode, which inserts by descending similarity; edge ids follow (i, j).
+    tree = tree[np.lexsort((tree, report[tree]))]
+    return SpanningForest(node_labels=conn.labels,
+                          edges=np.stack([iu[tree], ju[tree]], axis=1),
+                          weights=report[tree])
 
 
-def compare_msts(weights_a: exact.MonotoneSequence,
-                 weights_b: exact.MonotoneSequence,
-                 ) -> tuple[exact.DiscrepancyResult, Fraction]:
-    """Exact test of equality of two trees' sorted weight sequences: their
+def compare_msts(weights_a, weights_b) -> tuple[exact.DiscrepancyResult, Fraction]:
+    """Exact test of equality of two trees' sorted weight arrays: their
     discrepancy and its exact p-value P(D_q >= d)."""
     res = exact.discrepancy(weights_a, weights_b)
     return res, exact.exact_pvalue(res.q, res.d)
@@ -102,18 +99,16 @@ def localize_nodes(mst_a: SpanningForest, mst_b: SpanningForest,
                    center_weight: float, radius: float) -> list[str]:
     """Labels of nodes touched by edges (in either tree) whose weight lies in
     [center - radius, center + radius]; sorted and deduplicated."""
-    if radius < 0:
+    if not radius >= 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
     lo, hi = center_weight - radius, center_weight + radius
     out = set()
     for forest in (mst_a, mst_b):
-        for i, j, w in forest.tree_edges:
-            if lo <= w <= hi:
-                out.add(forest.node_labels[i])
-                out.add(forest.node_labels[j])
+        near = (lo <= forest.weights) & (forest.weights <= hi)
+        out.update(forest.node_labels[k] for k in np.unique(forest.edges[near]))
     return sorted(out)
 
 
-def growth_curve(w: exact.MonotoneSequence) -> list[tuple[float, int]]:
+def growth_curve(weights) -> list[tuple[float, int]]:
     """Step-function plot points (w_j, j): edges added by each weight."""
-    return [(float(v), j + 1) for j, v in enumerate(w.values)]
+    return [(w, j + 1) for j, w in enumerate(np.asarray(weights).tolist())]

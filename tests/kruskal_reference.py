@@ -3,6 +3,8 @@ tested against."""
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from combinf.errors import ValidationError
 from combinf.mst import SpanningForest, WeightMode
 
@@ -61,9 +63,14 @@ class UnionFind:
 
 
 def kruskal_mst(g: WeightedGraph) -> SpanningForest:
-    """Greedy minimum spanning forest: scan edges by ascending weight, skip
-    those closing a cycle. Weight ties break by (min endpoint, max endpoint)
-    for reproducibility."""
+    """Greedy minimum spanning forest, its edges in insertion order."""
+    return _forest(g.node_labels, kruskal_tree(g))
+
+
+def kruskal_tree(g: WeightedGraph) -> list[tuple[int, int, float]]:
+    """Greedy minimum spanning forest as (i, j, w) edges in insertion order:
+    scan edges by ascending weight, skip those closing a cycle. Weight ties
+    break by (min endpoint, max endpoint) for reproducibility."""
     if g.p < 2:
         raise ValidationError(f"graph needs at least 2 nodes, got {g.p}")
     ordered = sorted(g.edges, key=lambda e: (e[2], min(e[0], e[1]), max(e[0], e[1])))
@@ -74,8 +81,7 @@ def kruskal_mst(g: WeightedGraph) -> SpanningForest:
             tree.append((i, j, float(w)))
             if uf.components == 1:
                 break
-    return SpanningForest(node_labels=g.node_labels, tree_edges=tuple(tree),
-                          component_count=uf.components)
+    return tree
 
 
 def kruskal_of_matrix(s, mode) -> SpanningForest:
@@ -92,10 +98,23 @@ def kruskal_of_matrix(s, mode) -> SpanningForest:
         edges = [(i, j, 1.0 - s[i][j]) for i, j in pairs]
     else:
         edges = [(i, j, -s[i][j]) for i, j in pairs]
-    forest = kruskal_mst(WeightedGraph(labels, tuple(edges)))
+    tree = kruskal_tree(WeightedGraph(labels, tuple(edges)))
     if mode is WeightMode.MAX_TREE:
         # reported as similarities, re-sorted nondecreasing
-        tree = sorted(((i, j, -w) for i, j, w in forest.tree_edges),
+        tree = sorted(((i, j, -w) for i, j, w in tree),
                       key=lambda e: (e[2], e[0], e[1]))
-        forest = SpanningForest(labels, tuple(tree), forest.component_count)
-    return forest
+    return _forest(labels, tree)
+
+
+def _forest(labels, tree) -> SpanningForest:
+    """The SpanningForest of a list of (i, j, w) tree edges, in list order."""
+    return SpanningForest(
+        node_labels=labels,
+        edges=np.array([(i, j) for i, j, _ in tree], dtype=np.int64).reshape(-1, 2),
+        weights=np.array([w for _, _, w in tree], dtype=np.float64))
+
+
+def in_weight_order(forest) -> bool:
+    """Whether the forest's rows are ordered by (weight, i, j)."""
+    keys = list(zip(forest.weights.tolist(), *forest.edges.T.tolist()))
+    return keys == sorted(keys)

@@ -265,6 +265,22 @@ class TestCliCompare:
         for label in ("a", "b", "c", "d", "e"):
             assert f"  {label}" in out
 
+    @pytest.mark.parametrize("radius", ["-1.0", "-1e-300", "nan", "x"])
+    def test_bad_radius_is_usage_error_before_output(self, rng, tmp_path,
+                                                     capsys, radius):
+        pa, pb = self.write_pair(rng, tmp_path)
+        assert cli.main(["compare", str(pa), str(pb), "--localize-center",
+                         "0.5", f"--localize-radius={radius}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: argument --localize-radius: ")
+        manifest = TestManifest().write_cohort(rng, tmp_path, ("x", "y", "z"))
+        assert cli.main(["heritability", "--mz", str(manifest), "--dz",
+                         str(manifest), "--out", str(tmp_path / "out"),
+                         f"--localize-radius={radius}"]) == 1
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestCliHeritability:
     def test_duplicate_manifests_give_zero_hi(self, rng, tmp_path, capsys):
@@ -365,6 +381,27 @@ class TestCliSimulate:
         assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
         assert (d1 / "report.txt").exists()
         capsys.readouterr()
+
+    def test_huge_sigma_gives_finite_pvalues(self, tmp_path, capsys):
+        # At both sigmas the noise swamps the module signal, so the two data
+        # sets differ by the exact factor 2**900 and their p-values agree;
+        # squares of values near 1e300 pass the float range.
+        reports = []
+        for sigma in (1e300, 1e300 * 2.0 ** -900):
+            cfg = {"seed": 1, "n": 3, "p": 4, "sigma": sigma,
+                   "replications": 3, "permutation_fractions": [1],
+                   "pairings": [[0, 0], [1, 2]]}
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert cli.main(["simulate", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "o")]) == 0
+            reports.append(json.loads(
+                (tmp_path / "o" / "report.json").read_text())["results"])
+        capsys.readouterr()
+        pvalues = [pv for cell in reports[0].values() for method in cell.values()
+                   for pv in method["pvalues"]]
+        assert len(pvalues) == 12 and all(map(math.isfinite, pvalues))
+        assert reports[0] == reports[1]
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

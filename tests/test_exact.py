@@ -21,51 +21,58 @@ def oracle_discrepancy(a, b):
     return best, loc
 
 
-class TestMonotoneSequence:
+class TestDiscrepancy:
     def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            exact.MonotoneSequence(())
+        with pytest.raises(ValidationError, match="nonempty"):
+            exact.discrepancy(np.array([]), np.array([]))
 
     def test_rejects_decreasing(self):
         with pytest.raises(ValidationError, match="nondecreasing"):
-            exact.MonotoneSequence((2.0, 1.0))
+            exact.discrepancy(np.array([2.0, 1.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValidationError, match=r"values\[2\]"):
+            exact.discrepancy(np.array([1.0, 2.0, 3.0]),
+                              np.array([1.0, 2.0, 1.5]))
 
     def test_rejects_non_finite(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match=r"values\[1\]"):
-                exact.MonotoneSequence((0.0, bad, 2.0))
+                exact.discrepancy(np.array([0.0, bad, 2.0]),
+                                  np.array([0.0, 1.0, 2.0]))
+
+    def test_rejects_two_dimensional(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValidationError, match="1-D"):
+            exact.discrepancy(a, a)
 
     def test_tie_tolerant_path(self):
-        seq = exact.MonotoneSequence((1.0, 1.0, 2.0))
-        assert seq.q == 3
-        assert seq.values == (1.0, 1.0, 2.0)
+        res = exact.discrepancy(np.array([1.0, 1.0, 2.0]),
+                                np.array([3.0, 4.0, 5.0]))
+        assert (res.q, res.d) == (3, 3)
+        assert not res.ties_absorbed
 
-
-class TestDiscrepancy:
     def test_separated_supports(self):
-        a = exact.MonotoneSequence((1.0, 2.0, 3.0))
-        b = exact.MonotoneSequence((4.0, 5.0, 6.0))
+        a = np.array([1.0, 2.0, 3.0])
+        b = np.array([4.0, 5.0, 6.0])
         res = exact.discrepancy(a, b)
         assert res.d == 3
         assert res.argmax_location == 3.0
         assert not res.ties_absorbed
 
     def test_interleaved(self):
-        a = exact.MonotoneSequence((1.0, 3.0, 5.0))
-        b = exact.MonotoneSequence((2.0, 4.0, 6.0))
+        a = np.array([1.0, 3.0, 5.0])
+        b = np.array([2.0, 4.0, 6.0])
         assert exact.discrepancy(a, b).d == 1
 
     def test_identical_sequences_absorb_ties(self):
-        a = exact.MonotoneSequence((1.0, 2.0, 3.0))
+        a = np.array([1.0, 2.0, 3.0])
         with pytest.warns(exact.TieWarning):
             res = exact.discrepancy(a, a)
         assert res.d == 0
         assert res.ties_absorbed
 
     def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            exact.discrepancy(exact.MonotoneSequence((1.0,)),
-                              exact.MonotoneSequence((1.0, 2.0)))
+        with pytest.raises(ValidationError, match="equal length"):
+            exact.discrepancy(np.array([1.0]), np.array([1.0, 2.0]))
 
     def test_argmax_attains_d(self):
         rng = np.random.default_rng(5)
@@ -73,8 +80,7 @@ class TestDiscrepancy:
             q = rng.integers(1, 12)
             a = np.sort(rng.standard_normal(q))
             b = np.sort(rng.standard_normal(q))
-            res = exact.discrepancy(exact.MonotoneSequence(tuple(a)),
-                                    exact.MonotoneSequence(tuple(b)))
+            res = exact.discrepancy(a, b)
             t = res.argmax_location
             assert abs(bisect_right(a, t) - bisect_right(b, t)) == res.d
             d0, loc0 = oracle_discrepancy(list(a), list(b))
@@ -176,20 +182,17 @@ class TestTransformInvariance:
             q = rng.integers(1, 15)
             a = np.sort(rng.standard_normal(q))
             b = np.sort(rng.standard_normal(q))
-            base = exact.discrepancy(exact.MonotoneSequence(tuple(a)),
-                                     exact.MonotoneSequence(tuple(b))).d
+            base = exact.discrepancy(a, b).d
             f = maps[rng.integers(len(maps))]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", exact.TieWarning)
-                mapped = exact.discrepancy(
-                    exact.MonotoneSequence(tuple(f(a))),
-                    exact.MonotoneSequence(tuple(f(b)))).d
+                mapped = exact.discrepancy(f(a), f(b)).d
             assert mapped == base
 
     def test_symmetry(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             q = rng.integers(1, 15)
-            a = exact.MonotoneSequence(tuple(np.sort(rng.standard_normal(q))))
-            b = exact.MonotoneSequence(tuple(np.sort(rng.standard_normal(q))))
+            a = np.sort(rng.standard_normal(q))
+            b = np.sort(rng.standard_normal(q))
             assert exact.discrepancy(a, b).d == exact.discrepancy(b, a).d

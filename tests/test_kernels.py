@@ -6,7 +6,7 @@ from combinf.simulation import RngStream, simulate_modular_pair
 from kruskal_reference import WeightedGraph, kruskal_mst
 
 
-def reference_sorted_weights(group, one_minus):
+def reference_mst_weights(group, one_minus):
     """One group's correlation-MST weights, built edge by edge: centred Gram,
     G / sqrt(Gii * Gjj), then the reference Kruskal."""
     n, p = group.shape
@@ -22,7 +22,7 @@ def reference_sorted_weights(group, one_minus):
             corr = gram[i, j] / np.sqrt(gram[i, i] * gram[j, j])
             edges.append((i, j, 1.0 - corr if one_minus else corr))
     g = WeightedGraph(tuple(f"n{k}" for k in range(p)), tuple(edges))
-    return np.sort([w for _, _, w in kruskal_mst(g).tree_edges])
+    return np.sort(kruskal_mst(g).weights)
 
 
 def reference_gap(a, b):
@@ -38,8 +38,8 @@ def reference_gap(a, b):
 def reference_null(pooled, perms, one_minus):
     n = perms.shape[1] // 2
     return np.array([
-        reference_gap(reference_sorted_weights(pooled[perm[:n]], one_minus),
-                      reference_sorted_weights(pooled[perm[n:]], one_minus))[0]
+        reference_gap(reference_mst_weights(pooled[perm[:n]], one_minus),
+                      reference_mst_weights(pooled[perm[n:]], one_minus))[0]
         for perm in perms])
 
 
@@ -94,8 +94,28 @@ def test_group_mst_weights_matches_high_level_pipeline():
         kernel = _kernels.sorted_mst_weights(data[None], True)[0]
         cm = pearson_correlation_matrix(DataMatrix(data))
         weights = mst_from_connectivity(
-            cm, WeightMode.ONE_MINUS_SIMILARITY).sorted_weights()
-        assert np.array_equal(kernel, weights.values)
+            cm, WeightMode.ONE_MINUS_SIMILARITY).weights
+        assert np.array_equal(kernel, weights)
+
+
+def test_correlations_do_not_depend_on_scale():
+    # Scaling by a power of two is exact, so the correlations keep their
+    # bits even where the squares of the scaled data would overflow or
+    # underflow.
+    rng = np.random.default_rng(81)
+
+    def describe(k, j):
+        return f"column {j} in group {k}"
+    for _ in range(40):
+        m, n, p = (int(k) for k in rng.integers((1, 3, 2), (4, 30, 40)))
+        x = rng.standard_normal((m, n, p)) * 10.0 ** rng.uniform(-3, 3, p)
+        x += rng.uniform(-5, 5, p)
+        want = _kernels.correlations(x, describe)
+        for k in (-500, -200, -1, 1, 200, 500):
+            assert np.array_equal(_kernels.correlations(x * 2.0 ** k, describe),
+                                  want), k
+        columns = x * 2.0 ** rng.integers(-500, 501, p)
+        assert np.array_equal(_kernels.correlations(columns, describe), want)
 
 
 @pytest.mark.parametrize("one_minus", [False, True])

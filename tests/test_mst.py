@@ -7,7 +7,8 @@ import pytest
 from combinf import exact, mst
 from combinf.connectivity import ConnectivityMatrix
 from combinf.errors import ValidationError
-from kruskal_reference import UnionFind, WeightedGraph, kruskal_mst, kruskal_of_matrix
+from kruskal_reference import (UnionFind, WeightedGraph, in_weight_order,
+                               kruskal_mst, kruskal_of_matrix)
 
 
 def random_connected_graph(rng, p):
@@ -67,14 +68,16 @@ class TestKruskal:
         g = WeightedGraph(("a", "b", "c"),
                           ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)))
         forest = kruskal_mst(g)
-        assert forest.tree_edges == ((0, 1, 1.0), (1, 2, 2.0))
+        assert np.array_equal(forest.edges, [[0, 1], [1, 2]])
+        assert np.array_equal(forest.weights, [1.0, 2.0])
         assert forest.component_count == 1
 
     def test_path_graph_is_its_own_tree(self):
         g = WeightedGraph(tuple("abcd"),
                           ((0, 1, 2.0), (1, 2, 1.0), (2, 3, 5.0)))
         forest = kruskal_mst(g)
-        assert set(forest.tree_edges) == set(g.edges)
+        got = zip(*forest.edges.T.tolist(), forest.weights.tolist())
+        assert set(got) == set(g.edges)
 
     def test_single_node_rejected(self):
         with pytest.raises(ValidationError):
@@ -84,8 +87,7 @@ class TestKruskal:
         rng = np.random.default_rng(3)
         for _ in range(50):
             forest = kruskal_mst(random_connected_graph(rng, int(rng.integers(2, 9))))
-            ws = [w for _, _, w in forest.tree_edges]
-            assert ws == sorted(ws)
+            assert in_weight_order(forest)
 
     def test_matches_exhaustive_minimum(self):
         rng = np.random.default_rng(7)
@@ -94,14 +96,14 @@ class TestKruskal:
             g = random_connected_graph(rng, p)
             forest = kruskal_mst(g)
             assert forest.component_count == 1
-            assert len(forest.tree_edges) == p - 1
-            total = sum(w for _, _, w in forest.tree_edges)
+            assert forest.edges.shape == (p - 1, 2)
+            total = sum(forest.weights)
             assert total == pytest.approx(exhaustive_min_tree_weight(g), rel=1e-12)
 
     def test_edge_plus_component_count(self):
         g = WeightedGraph(tuple("abcde"), ((0, 1, 1.0), (2, 3, 1.0)))
         forest = kruskal_mst(g)
-        assert len(forest.tree_edges) + forest.component_count == 5
+        assert len(forest.weights) + forest.component_count == 5
 
 
 class TestFromConnectivity:
@@ -111,8 +113,7 @@ class TestFromConnectivity:
         np.fill_diagonal(values, 1.0)
         cm = ConnectivityMatrix(tuple("abcde"), values)
         forest = mst.mst_from_connectivity(cm, "one_minus_similarity")
-        weights = forest.sorted_weights()
-        assert all(w == 0.5 for w in weights.values)
+        assert np.array_equal(forest.weights, np.full(p - 1, 0.5))
 
     def test_max_tree_matches_one_minus(self):
         rng = np.random.default_rng(17)
@@ -124,8 +125,8 @@ class TestFromConnectivity:
             cm = ConnectivityMatrix(tuple(f"n{k}" for k in range(p)), s)
             f1 = mst.mst_from_connectivity(cm, mst.WeightMode.ONE_MINUS_SIMILARITY)
             f2 = mst.mst_from_connectivity(cm, mst.WeightMode.MAX_TREE)
-            e1 = {(i, j) for i, j, _ in f1.tree_edges}
-            e2 = {(i, j) for i, j, _ in f2.tree_edges}
+            e1 = set(map(tuple, f1.edges.tolist()))
+            e2 = set(map(tuple, f2.edges.tolist()))
             assert e1 == e2
 
     def test_distance_mode_skips_zeros(self):
@@ -134,7 +135,8 @@ class TestFromConnectivity:
                            [0.0, 3.0, 0.0]])
         cm = ConnectivityMatrix(("a", "b", "c"), values)
         forest = mst.mst_from_connectivity(cm, "distance")
-        assert {(i, j) for i, j, _ in forest.tree_edges} == {(0, 1), (1, 2)}
+        assert np.array_equal(forest.edges, [[0, 1], [1, 2]])
+        assert np.array_equal(forest.weights, [2.0, 3.0])
 
     def test_matches_kruskal_reference(self):
         # Prim on edge ranks must return kruskal_mst's tree edge for edge, in
@@ -153,8 +155,10 @@ class TestFromConnectivity:
             for mode in mst.WeightMode:
                 ref = kruskal_of_matrix(s, mode)
                 got = mst.mst_from_connectivity(ConnectivityMatrix(labels, s), mode)
-                assert got.tree_edges == ref.tree_edges, (it, mode)
+                assert np.array_equal(got.edges, ref.edges), (it, mode)
+                assert np.array_equal(got.weights, ref.weights), (it, mode)
                 assert got.component_count == ref.component_count, (it, mode)
+                assert in_weight_order(got), (it, mode)
 
     def test_asymmetric_rejected(self):
         values = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -169,7 +173,7 @@ class TestFromConnectivity:
 
 class TestCompare:
     def test_identical(self):
-        w = exact.MonotoneSequence((0.1, 0.2, 0.7))
+        w = np.array([0.1, 0.2, 0.7])
         with pytest.warns(exact.TieWarning):
             res, pv = mst.compare_msts(w, w)
         assert res.d == 0
@@ -177,8 +181,8 @@ class TestCompare:
         assert res.ties_absorbed
 
     def test_disjoint_supports(self):
-        wa = exact.MonotoneSequence((0.1, 0.2, 0.3))
-        wb = exact.MonotoneSequence((0.4, 0.5, 0.6))
+        wa = np.array([0.1, 0.2, 0.3])
+        wb = np.array([0.4, 0.5, 0.6])
         res, pv = mst.compare_msts(wa, wb)
         assert res.d == 3
         assert float(pv) == pytest.approx(0.1)
@@ -187,16 +191,16 @@ class TestCompare:
         rng = np.random.default_rng(23)
         for _ in range(30):
             q = int(rng.integers(1, 20))
-            wa = exact.MonotoneSequence(tuple(np.sort(rng.standard_normal(q))))
-            wb = exact.MonotoneSequence(tuple(np.sort(rng.standard_normal(q))))
+            wa = np.sort(rng.standard_normal(q))
+            wb = np.sort(rng.standard_normal(q))
             ab, pv_ab = mst.compare_msts(wa, wb)
             ba, pv_ba = mst.compare_msts(wb, wa)
             assert ab.d == ba.d
             assert pv_ab == pv_ba
 
     def test_length_mismatch(self):
-        wa = exact.MonotoneSequence((0.1,))
-        wb = exact.MonotoneSequence((0.1, 0.2))
+        wa = np.array([0.1])
+        wb = np.array([0.1, 0.2])
         with pytest.raises(ValidationError):
             mst.compare_msts(wa, wb)
 
@@ -204,8 +208,10 @@ class TestCompare:
 class TestLocalize:
     def _forests(self):
         labels = tuple("abcd")
-        fa = mst.SpanningForest(labels, ((0, 1, 0.2), (1, 2, 0.5), (2, 3, 0.9)), 1)
-        fb = mst.SpanningForest(labels, ((0, 2, 0.4), (1, 3, 0.5), (0, 3, 0.7)), 1)
+        fa = mst.SpanningForest(labels, np.array([[0, 1], [1, 2], [2, 3]]),
+                                np.array([0.2, 0.5, 0.9]))
+        fb = mst.SpanningForest(labels, np.array([[0, 2], [1, 3], [0, 3]]),
+                                np.array([0.4, 0.5, 0.7]))
         return fa, fb
 
     def test_radius_zero_single_edge(self):
@@ -226,13 +232,28 @@ class TestLocalize:
             s2 = set(mst.localize_nodes(fa, fb, center, r2))
             assert s1 <= s2
 
+    def test_matches_edge_loop(self):
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            p = int(rng.integers(2, 9))
+            fa = kruskal_mst(random_connected_graph(rng, p))
+            fb = kruskal_mst(random_connected_graph(rng, p))
+            center, radius = float(rng.uniform(0, 10)), float(rng.uniform(0, 3))
+            want = set()
+            for forest in (fa, fb):
+                for (i, j), w in zip(forest.edges.tolist(), forest.weights.tolist()):
+                    if center - radius <= w <= center + radius:
+                        want |= {forest.node_labels[i], forest.node_labels[j]}
+            assert mst.localize_nodes(fa, fb, center, radius) == sorted(want)
+
     def test_negative_radius_rejected(self):
         fa, fb = self._forests()
-        with pytest.raises(ValidationError):
-            mst.localize_nodes(fa, fb, 0.5, -0.1)
+        for radius in (-0.1, float("nan")):
+            with pytest.raises(ValidationError, match="radius must be >= 0"):
+                mst.localize_nodes(fa, fb, 0.5, radius)
 
 
 class TestGrowthCurve:
     def test_points(self):
-        w = exact.MonotoneSequence((0.1, 0.4, 0.9))
+        w = np.array([0.1, 0.4, 0.9])
         assert mst.growth_curve(w) == [(0.1, 1), (0.4, 2), (0.9, 3)]

@@ -137,9 +137,9 @@ class TestCombinatorialTrial:
         a = sim.simulate_modular_data(8, 20, 4, 0.1, sim.RngStream(5, 3))
         b = sim.simulate_modular_data(13, 20, 5, 0.1, sim.RngStream(5, 4))
         wa = mst_from_connectivity(pearson_correlation_matrix(a),
-                                   WeightMode.ONE_MINUS_SIMILARITY).sorted_weights()
+                                   WeightMode.ONE_MINUS_SIMILARITY).weights
         wb = mst_from_connectivity(pearson_correlation_matrix(b),
-                                   WeightMode.ONE_MINUS_SIMILARITY).sorted_weights()
+                                   WeightMode.ONE_MINUS_SIMILARITY).weights
         assert (sim.run_combinatorial_trial(a, b)
                 == float(compare_msts(wa, wb)[1]))
 
