@@ -7,10 +7,11 @@ one definition of the statistic: ``sorted_mst_weights`` (data -> column
 ``correlations`` -> sorted MST weights, for a stack of groups) and
 ``discrepancies`` (two rows of sorted weights -> D_q and the smallest merged
 value attaining it, absorbing values equal across the rows).
-``permutation_null`` chains them over chunks of relabelings,
-``simulation.observed_discrepancy`` over one pair of groups, and
-``exact.discrepancy`` calls ``discrepancies`` alone on two sorted weight
-arrays;
+``permutation_null`` chains them over chunks of relabelings (for
+``simulation.permutation_test``, whose relabeling 0 is the observed split),
+``simulation.observed_discrepancy`` over one pair of groups (for the exact
+trial), and ``exact.discrepancy`` calls ``discrepancies`` alone on two
+sorted weight arrays;
 ``mst.mst_from_connectivity`` calls ``prim_sorted_keys`` on edge ranks and
 ``connectivity.pearson_correlation_matrix`` calls ``correlations``. All
 kernels are plain numpy.

@@ -237,6 +237,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if (getattr(args, "localize_radius", None) is not None
+                and args.localize_center is None):
+            parser.error("--localize-radius needs --localize-center")
         return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

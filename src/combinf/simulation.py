@@ -1,13 +1,12 @@
-"""Block-modular random network simulation and the sampled-permutation
-baseline for benchmarking the exact combinatorial test."""
+"""Block-modular random network simulation and the permutation test, drawn
+or over every split, as the baseline for the exact combinatorial test."""
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .errors import ValidationError
 from .exact import exact_pvalue
 
 DEFAULT_PAIRINGS = ((0, 0), (4, 4), (4, 5), (4, 8), (5, 10))
-EXHAUSTIVE_SPACE_LIMIT = 100_000
 # Most relabeling indices one permutation fraction may ask for. The sampled
 # test holds 2n int64 indices per relabeling, so at most 32 MiB, shuffled in
 # place: the peak rises by that array alone (measured at n = 10, 11 and 100).
@@ -110,8 +108,10 @@ class SimulationConfig:
             raise ValidationError(f"/n: need n >= 2, got {self.n}")
         if self.p < 2:
             raise ValidationError(f"/p: need p >= 2, got {self.p}")
-        if not 0 <= self.sigma < math.inf:
-            raise ValidationError(f"/sigma: need finite sigma >= 0, got {self.sigma}")
+        # noise * sigma stays finite for every normal draw up to 2**1000
+        if not 0 <= self.sigma <= 2.0 ** 1000:
+            raise ValidationError(
+                f"/sigma: need 0 <= sigma <= 2**1000, got {self.sigma}")
         if self.replications < 1:
             raise ValidationError(
                 f"/replications: need >= 1, got {self.replications}")
@@ -270,15 +270,20 @@ def _one_minus_flag(weight_mode: str) -> bool:
     return weight_mode == "one_minus"
 
 
-def observed_discrepancy(group_a: DataMatrix, group_b: DataMatrix,
-                         weight_mode: str = "one_minus") -> int:
-    """Max step-function gap between the two groups' correlation-MST weight
-    sequences: the exact trial's statistic, and the permutation null's on
-    the observed split. The groups may differ in n. A column that is
-    constant within a group raises ValidationError naming it."""
+def _check_node_counts(group_a: DataMatrix, group_b: DataMatrix) -> None:
     if group_a.p != group_b.p:
         raise ValidationError(
             f"groups differ in node count: {group_a.p} vs {group_b.p}")
+
+
+def observed_discrepancy(group_a: DataMatrix, group_b: DataMatrix,
+                         weight_mode: str = "one_minus") -> int:
+    """Max step-function gap between the two groups' correlation-MST weight
+    sequences: the exact trial's statistic, bit for bit the D of
+    relabeling 0 in ``permutation_test``. The groups may differ in n. A
+    column that is constant within a group raises ValidationError naming
+    it."""
+    _check_node_counts(group_a, group_b)
     one_minus = _one_minus_flag(weight_mode)
 
     def weights(group, name):
@@ -299,61 +304,52 @@ def run_combinatorial_trial(group_a: DataMatrix, group_b: DataMatrix,
 
 def permutation_test(group_a: DataMatrix, group_b: DataMatrix,
                      num_permutations: int, stream: RngStream,
-                     add_one: bool = False, exhaustive: bool = False,
+                     add_one: bool = False,
                      weight_mode: str = "one_minus") -> float:
-    """Sampled permutation baseline: relabel the pooled 2n rows into two
-    groups of n, recompute correlations, MSTs, and the discrepancy each time.
+    """Permutation baseline: relabel the pooled 2n rows into two groups of
+    n, recompute correlations, MSTs, and the discrepancy each time.
 
-    Default p-value is the plain proportion #{D* >= D_obs} / N; ``add_one``
-    applies the (count+1)/(N+1) correction. ``exhaustive`` enumerates every
-    split (only for small spaces).
+    Relabeling 0 is the observed split, so its D is D_obs. Fewer than
+    C(2n, n) relabelings are drawn from ``stream``, each as
+    ``rng.permutation(2n)`` would, after relabeling 0. At least C(2n, n)
+    means every split: D is symmetric in the two groups, so the
+    C(2n, n) / 2 splits with row 0 in group A are listed once, in
+    lexicographic order, and the first is relabeling 0. The p-value is the
+    proportion #{D* >= D_obs} / N of the N drawn or listed relabelings;
+    ``add_one`` gives (count + 1) / (N + 1) instead.
     """
     if group_a.n != group_b.n:
         raise ValidationError(
             f"permutation test needs groups of equal n, got {group_a.n} "
             f"and {group_b.n}")
-    d_obs = observed_discrepancy(group_a, group_b, weight_mode)
-    return _permutation_pvalue(group_a, group_b, d_obs, num_permutations,
-                               stream, add_one, exhaustive, weight_mode)
-
-
-def _permutation_pvalue(group_a: DataMatrix, group_b: DataMatrix, d_obs: int,
-                        num_permutations: int, stream: RngStream,
-                        add_one: bool = False, exhaustive: bool = False,
-                        weight_mode: str = "one_minus") -> float:
-    """permutation_test of two groups of equal n whose observed_discrepancy
-    is d_obs."""
+    _check_node_counts(group_a, group_b)
     if num_permutations < 1:
         raise ValidationError(
             f"need at least 1 permutation, got {num_permutations}")
     n = group_a.n
-    cap = math.comb(2 * n, n)
-    if num_permutations > cap:
-        warnings.warn(
-            f"requested {num_permutations} permutations but only {cap} "
-            "distinct relabelings exist; capping", stacklevel=3)
-        num_permutations = cap
     one_minus = _one_minus_flag(weight_mode)
     pooled = np.vstack([group_a.values, group_b.values])
-
-    if exhaustive:
-        if cap > EXHAUSTIVE_SPACE_LIMIT:
-            raise ValidationError(
-                f"exhaustive enumeration supports C(2n,n) <= "
-                f"{EXHAUSTIVE_SPACE_LIMIT}, got {cap}")
-        all_idx = frozenset(range(2 * n))
-        perms = np.array(
-            [list(sel) + sorted(all_idx.difference(sel))
-             for sel in combinations(range(2 * n), n)], dtype=np.int64)
+    splits = math.comb(2 * n, n) // 2
+    listed = num_permutations >= 2 * splits
+    if listed:
+        rest = np.fromiter(
+            chain.from_iterable(combinations(range(1, 2 * n), n - 1)),
+            dtype=np.int64, count=splits * (n - 1)).reshape(splits, n - 1)
+        in_a = np.zeros((splits, 2 * n), dtype=bool)
+        in_a[:, 0] = True
+        np.put_along_axis(in_a, rest, True, axis=1)
+        perms = np.argsort(~in_a, axis=1, kind="stable")
     else:
-        # one row per relabeling, each shuffled as rng.permutation(2n) would
-        perms = np.tile(np.arange(2 * n, dtype=np.int64), (num_permutations, 1))
-        stream.generator().permuted(perms, axis=1, out=perms)
+        perms = np.tile(np.arange(2 * n, dtype=np.int64),
+                        (num_permutations + 1, 1))
+        rows = perms[1:]
+        stream.generator().permuted(rows, axis=1, out=rows)
     null = _kernels.permutation_null(pooled, perms, one_minus)
-    hits = int(np.count_nonzero(null >= d_obs))
+    counted = null if listed else null[1:]
+    hits = int(np.count_nonzero(counted >= null[0]))
     if add_one:
-        return (hits + 1) / (len(null) + 1)
-    return hits / len(null)
+        return (hits + 1) / (counted.size + 1)
+    return hits / counted.size
 
 
 def permutation_count(fraction: float, n: int) -> int:
@@ -380,16 +376,13 @@ def run_experiment(cfg: SimulationConfig, progress=None) -> ExperimentReport:
             base = (g * cfg.replications + r) * streams_per_trial
             data_a, data_b = simulate_modular_pair(
                 cfg.n, cfg.p, ka, kb, cfg.sigma, RngStream(cfg.seed, base))
-            # one observed D per trial, for the exact null and every
-            # permutation null alike
-            d = observed_discrepancy(data_a, data_b, cfg.weight_mode)
-            cell["combinatorial"].append(float(exact_pvalue(cfg.p - 1, d)))
+            cell["combinatorial"].append(
+                run_combinatorial_trial(data_a, data_b, cfg.weight_mode))
             for fi, frac in enumerate(cfg.permutation_fractions):
-                pv = _permutation_pvalue(
-                    data_a, data_b, d, permutation_count(frac, cfg.n),
+                cell[_method_label(frac)].append(permutation_test(
+                    data_a, data_b, permutation_count(frac, cfg.n),
                     RngStream(cfg.seed, base + 1 + fi),
-                    weight_mode=cfg.weight_mode)
-                cell[_method_label(frac)].append(pv)
+                    weight_mode=cfg.weight_mode))
             if progress is not None:
                 progress(label, r + 1, cfg.replications)
         pvalues[label] = cell

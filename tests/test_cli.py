@@ -281,6 +281,20 @@ class TestCliCompare:
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_radius_without_center_is_usage_error_before_output(
+            self, rng, tmp_path, capsys):
+        pa, pb = self.write_pair(rng, tmp_path)
+        want = "usage error: --localize-radius needs --localize-center\n"
+        assert cli.main(["compare", str(pa), str(pb),
+                         "--localize-radius", "0.5"]) == 1
+        assert capsys.readouterr() == ("", want)
+        manifest = TestManifest().write_cohort(rng, tmp_path, ("x", "y", "z"))
+        assert cli.main(["heritability", "--mz", str(manifest), "--dz",
+                         str(manifest), "--out", str(tmp_path / "out"),
+                         "--localize-radius", "0.5"]) == 1
+        assert capsys.readouterr() == ("", want)
+        assert not (tmp_path / "out").exists()
+
 
 class TestCliHeritability:
     def test_duplicate_manifests_give_zero_hi(self, rng, tmp_path, capsys):
@@ -403,6 +417,16 @@ class TestCliSimulate:
         assert len(pvalues) == 12 and all(map(math.isfinite, pvalues))
         assert reports[0] == reports[1]
 
+    def test_largest_sigma_runs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "seed": 1, "n": 3, "p": 4, "sigma": 2.0 ** 1000,
+            "replications": 2, "permutation_fractions": [0.5],
+            "pairings": [[0, 0], [1, 2]]}))
+        assert cli.main(["simulate", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+
     def test_bad_config_exit_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 3, "replications": 0}))
@@ -418,10 +442,11 @@ class TestCliSimulate:
         ({"seed": 3, "pairings": [[4]]}, "/pairings"),
         ({"seed": -1}, "/seed"),
         ({"seed": 3, "sigma": float("nan")}, "/sigma"),
+        ({"seed": 3, "sigma": 1.7e308}, "/sigma"),
         ({"seed": 3, "n": 600}, "/permutation_fractions/0"),
     ], ids=["not_object", "string_n", "bool_seed", "scalar_fractions",
             "one_element_pairing", "negative_seed", "nan_sigma",
-            "relabelings_past_float"])
+            "sigma_past_2_to_1000", "relabelings_past_float"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, doc, key):
         # small enough to run quickly wherever a check is missing
         if isinstance(doc, dict):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,6 +10,20 @@ from combinf.connectivity import DataMatrix, pearson_correlation_matrix
 from combinf.errors import ValidationError
 from combinf.exact import exact_pvalue
 from combinf.mst import WeightMode, compare_msts, mst_from_connectivity
+
+
+def record_nulls(monkeypatch):
+    """List that collects (a copy of the relabelings, the null) for each
+    permutation_null call."""
+    seen = []
+    null = sim._kernels.permutation_null
+
+    def record(pooled, perms, one_minus):
+        seen.append((perms.copy(), null(pooled, perms, one_minus)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(sim._kernels, "permutation_null", record)
+    return seen
 
 
 class TestRngStream:
@@ -46,6 +62,14 @@ class TestConfig:
         for n, f in ((11, edge * 1.001), (20, 0.001)):
             with pytest.raises(ValidationError, match="/permutation_fractions/0"):
                 sim.SimulationConfig(seed=1, n=n, permutation_fractions=(f,))
+
+    def test_sigma_bound(self):
+        # noise * sigma stays finite for every normal draw up to 2**1000
+        sim.SimulationConfig(seed=1, sigma=2.0 ** 1000)
+        for sigma in (np.nextafter(2.0 ** 1000, math.inf), 1.7e308, math.inf,
+                      math.nan, -1e-300):
+            with pytest.raises(ValidationError, match="/sigma:"):
+                sim.SimulationConfig(seed=1, sigma=sigma)
 
     def test_no_pairings(self):
         # A report with no cells has no table to print.
@@ -161,21 +185,53 @@ class TestPermutationTest:
         assert sim.permutation_count(0.01, 10) == 1847
         assert sim.permutation_count(1e-9, 10) == 1
 
-    def test_cap_with_warning(self):
+    def test_request_past_every_split_lists_them_all(self, monkeypatch):
+        # D is symmetric in the two groups: the C(6, 3) / 2 splits with row
+        # 0 in group A, once each, whatever the request past C(6, 3).
         a = sim.simulate_modular_data(3, 6, 2, 0.1, sim.RngStream(8, 0))
         b = sim.simulate_modular_data(3, 6, 3, 0.1, sim.RngStream(8, 1))
-        with pytest.warns(UserWarning, match="capping"):
+        seen = record_nulls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             pv = sim.permutation_test(a, b, 10 ** 6, sim.RngStream(8, 2))
+        assert pv == sim.permutation_test(a, b, 20, sim.RngStream(8, 2))
+        splits = [set(row[:3]) for row in seen[0][0]]
+        assert len(splits) == 10 and all(0 in split for split in splits)
+        assert splits == sorted(splits, key=sorted)
+        assert len({frozenset(split) for split in splits}) == 10
         assert 0.0 <= pv <= 1.0
 
-    def test_exhaustive_is_reproducible_and_exact(self):
+    def test_every_split_is_reproducible_and_exact(self):
         a = sim.simulate_modular_data(4, 6, 2, 0.1, sim.RngStream(8, 3))
         b = sim.simulate_modular_data(4, 6, 3, 0.1, sim.RngStream(8, 4))
         cap = math.comb(8, 4)
-        p1 = sim.permutation_test(a, b, cap, sim.RngStream(8, 5), exhaustive=True)
-        p2 = sim.permutation_test(a, b, cap, sim.RngStream(99, 6), exhaustive=True)
+        p1 = sim.permutation_test(a, b, cap, sim.RngStream(8, 5))
+        p2 = sim.permutation_test(a, b, cap, sim.RngStream(99, 6))
         assert p1 == p2
         assert 0.0 < p1 <= 1.0
+        # add_one counts the C(8, 4) / 2 listed splits
+        assert sim.permutation_test(a, b, cap, sim.RngStream(8, 5),
+                                    add_one=True) == (p1 * 35 + 1) / 36
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("mode", sim.WEIGHT_MODES)
+    def test_every_split_matches_the_full_listing(self, n, mode):
+        # Oracle: each of the C(2n, n) splits of the pooled rows, both halves
+        # of the symmetric null, scored alone by observed_discrepancy.
+        a, b = sim.simulate_modular_pair(n, 6, 2, 3, 0.1, sim.RngStream(8, n))
+        pooled = np.vstack([a.values, b.values])
+        d_obs = sim.observed_discrepancy(a, b, mode)
+        hits = 0
+        for sel in combinations(range(2 * n), n):
+            rest = [i for i in range(2 * n) if i not in sel]
+            hits += sim.observed_discrepancy(
+                DataMatrix(pooled[list(sel)]), DataMatrix(pooled[rest]),
+                mode) >= d_obs
+        cap = math.comb(2 * n, n)
+        for count, stream in ((cap, sim.RngStream(1, 0)),
+                              (cap + 5, sim.RngStream(2, 7))):
+            assert sim.permutation_test(a, b, count, stream,
+                                        weight_mode=mode) == hits / cap
 
     def test_identical_groups_give_one(self):
         a = sim.simulate_modular_data(4, 6, 2, 0.1, sim.RngStream(8, 7))
@@ -191,7 +247,7 @@ class TestPermutationTest:
 
     def test_constant_column_in_a_relabeling_is_named(self):
         # Column 0 is not constant in either observed group, but the split
-        # {0, 1, 5} | {2, 3, 4} makes it constant in both.
+        # {0, 1, 5} | {2, 3, 4}, the fourth listed, makes it constant in both.
         rng = np.random.default_rng(33)
         a = rng.standard_normal((3, 5))
         b = rng.standard_normal((3, 5))
@@ -200,26 +256,47 @@ class TestPermutationTest:
         with pytest.raises(ValidationError,
                            match="relabeling 3: column 0 is constant in group A"):
             sim.permutation_test(DataMatrix(a), DataMatrix(b), 20,
-                                 sim.RngStream(8, 17), exhaustive=True)
+                                 sim.RngStream(8, 17))
+
+    @pytest.mark.parametrize("group", ["A", "B"])
+    @pytest.mark.parametrize("count", [5, 20])
+    def test_constant_column_in_an_observed_group_is_relabeling_0(self, group,
+                                                                   count):
+        # The observed split is relabeling 0, drawn or listed, so its
+        # constant column is named before any other relabeling's.
+        rng = np.random.default_rng(35)
+        groups = {"A": rng.standard_normal((3, 5)),
+                  "B": rng.standard_normal((3, 5))}
+        groups[group][:, 2] = 0.1
+        with pytest.raises(ValidationError, match=(
+                f"relabeling 0: column 2 is constant in group {group}")):
+            sim.permutation_test(DataMatrix(groups["A"]),
+                                 DataMatrix(groups["B"]), count,
+                                 sim.RngStream(8, 24))
 
     def test_relabelings_are_the_per_row_permutation_stream(self, monkeypatch):
-        # The sampled relabelings are the rows that rng.permutation(2n),
-        # called once per relabeling, draws from the test's stream.
+        # Relabeling 0 is the observed split; the drawn relabelings after it
+        # are the rows that rng.permutation(2n), called once per relabeling,
+        # draws from the test's stream.
         a = sim.simulate_modular_data(5, 6, 2, 0.1, sim.RngStream(8, 21))
         b = sim.simulate_modular_data(5, 6, 3, 0.1, sim.RngStream(8, 22))
-        seen = []
-        null = sim._kernels.permutation_null
-
-        def record(pooled, perms, one_minus):
-            seen.append(perms.copy())
-            return null(pooled, perms, one_minus)
-
-        monkeypatch.setattr(sim._kernels, "permutation_null", record)
+        seen = record_nulls(monkeypatch)
         sim.permutation_test(a, b, 37, sim.RngStream(8, 23))
         rng = sim.RngStream(8, 23).generator()
         want = np.array([rng.permutation(10) for _ in range(37)])
-        assert seen[0].dtype == np.int64
-        assert np.array_equal(seen[0], want)
+        perms, _ = seen[0]
+        assert perms.dtype == np.int64
+        assert np.array_equal(perms[0], np.arange(10))
+        assert np.array_equal(perms[1:], want)
+
+    def test_observed_split_is_scored_as_observed_discrepancy(self,
+                                                              monkeypatch):
+        a, b = sim.simulate_modular_pair(6, 12, 3, 4, 0.1, sim.RngStream(8, 25))
+        seen = record_nulls(monkeypatch)
+        for mode in sim.WEIGHT_MODES:
+            sim.permutation_test(a, b, 30, sim.RngStream(8, 26),
+                                 weight_mode=mode)
+            assert seen[-1][1][0] == sim.observed_discrepancy(a, b, mode)
 
     def test_unequal_n_rejected(self):
         # The exact trial takes groups of any n; relabeling needs equal n.
@@ -227,6 +304,9 @@ class TestPermutationTest:
         b = sim.simulate_modular_data(5, 6, 3, 0.1, sim.RngStream(8, 19))
         with pytest.raises(ValidationError, match="equal n, got 4 and 5"):
             sim.permutation_test(a, b, 20, sim.RngStream(8, 20))
+        c = sim.simulate_modular_data(4, 8, 2, 0.1, sim.RngStream(8, 27))
+        with pytest.raises(ValidationError, match="node count: 6 vs 8"):
+            sim.permutation_test(a, c, 20, sim.RngStream(8, 20))
 
     def test_too_few_permutations_rejected(self):
         a = sim.simulate_modular_data(3, 6, 2, 0.1, sim.RngStream(8, 15))
@@ -255,10 +335,25 @@ class TestExperiment:
         r2 = sim.run_experiment(cfg)
         assert r1.to_json_text() == r2.to_json_text()
 
+    def test_calls_the_public_trial_functions(self, monkeypatch):
+        # The benchmark's tracer times these two functions by name.
+        calls = {"run_combinatorial_trial": 0, "permutation_test": 0}
+        for name in calls:
+            original = getattr(sim, name)
+
+            def counted(*args, _name=name, _original=original, **kw):
+                calls[_name] += 1
+                return _original(*args, **kw)
+            monkeypatch.setattr(sim, name, counted)
+        cfg = sim.SimulationConfig(**{**self.CFG, "permutation_fractions": (0.05, 0.1)})
+        sim.run_experiment(cfg)
+        trials = len(cfg.pairings) * cfg.replications
+        assert calls == {"run_combinatorial_trial": trials,
+                         "permutation_test": 2 * trials}
+
     def test_cells_match_the_public_trial_functions(self):
-        # run_experiment computes each trial's D once; the public functions,
-        # which compute it per call, give the same p-values on the same
-        # streams.
+        # Each cell is the public function's p-value on the trial's stream
+        # indices: data on stream base, fraction fi on stream base + 1 + fi.
         cfg = sim.SimulationConfig(**{**self.CFG, "permutation_fractions": (0.05, 0.1)})
         report = sim.run_experiment(cfg)
         for g, (ka, kb) in enumerate(cfg.pairings):
