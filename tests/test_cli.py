@@ -1,8 +1,10 @@
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import combinf
-from combinf import cli
+from combinf import cli, matrixio
 from combinf.connectivity import ConnectivityMatrix, DataMatrix, pearson_correlation_matrix
 from combinf.errors import DataError
 from combinf.matrixio import CohortManifest, read_matrix_csv, write_matrix_csv
@@ -84,6 +86,108 @@ class TestMatrixCsv:
         assert "field larger than field limit" in err
 
 
+# Files the C route reads, or leaves to the csv route, with the labels the
+# read gives or a piece of its DataError text.
+_ROUTE_CASES = {
+    "crlf": ("a,b\r\n1,0.5\r\n0.5,1\r\n", True, ("a", "b")),
+    "lone_cr": ("a,b\r1,0.5\r0.5,1\r", True, ("a", "b")),
+    "blank_lines": ("\na,b\n\r\n1,0.5\r\r\n0.5,1\n\n", True, ("a", "b")),
+    "no_final_newline": ("1,0.5\n0.5,1", True, ("V1", "V2")),
+    "subnormal_negative_zero": ("5e-324,-0.0\n-0.0,2.225e-308\n", True,
+                                ("V1", "V2")),
+    "hash_label": ("#a,b\n1,0\n0,1\n", True, ("#a", "b")),
+    "quoted_label": ('"a,b",c\n1,0\n0,1\n', True, ("a,b", "c")),
+    "bom_label": ("\ufeffa,b\n1,0\n0,1\n", True, ("\ufeffa", "b")),
+    "asymmetric": ("1,2\n3,1\n", True, "not symmetric"),
+    "label_count": ("a,b,c\n1,0\n0,1\n", True, "3 labels for 2 nodes"),
+    "hash_token": ("a,b\n1,#\n#,1\n", False, "cannot parse '#'"),
+    "bom_number": ("\ufeff1,0\n0,1\n", False, "row 1 has 2 columns"),
+    "quoted_number": ('"1",0\n0,1\n', False, ("V1", "V2")),
+    "underscore": ("1_0,0\n0,1\n", False, ("V1", "V2")),
+    "arabic_digit": ("\u0661,0\n0,1\n", False, ("V1", "V2")),
+    "whitespace_line": ("1,0\n \n0,1\n", False, "row 1 has 2 columns"),
+    "form_feed_inside": ("a\n1\x0c2\n", False, "cannot parse '1\\x0c2'"),
+    "form_feed_strip": ("1,0\x0c\n0\x0c,1\n", True, ("V1", "V2")),
+    "next_line_strip": ("1,0\x85\n0,1\n", False, ("V1", "V2")),
+    "line_separator": ("a\n1\u20282\n", False, "cannot parse '1\\u20282'"),
+    "file_separator": ("a,b\n1,0\x1c\n0\x1c,1\n", False,
+                       "cannot parse '0\\x1c'"),
+    "nul": ("a,b\n1,0\x00\n0,1\n", False, "cannot parse '0\\x00'"),
+    "nan": ("1,nan\nnan,1\n", False, "non-finite value nan at row 1, column 2"),
+    "overflow": ("1,1e400\n1e400,1\n", False, "non-finite value inf"),
+    "ragged": ("1,0\n0\n", False, "row 2 has 1 columns, expected 2"),
+    "not_square": ("1,0,0\n0,1,0\n", False, "row 1 has 3 columns, expected 2"),
+    "empty": ("", False, "empty file"),
+    "blank_only": ("\n\r\n\r", False, "empty file"),
+    "header_only": ("a,b\n", False, "header but no data rows"),
+    "header_then_blank": ("a,b\r\n\r\n\n", False, "header but no data rows"),
+    "field_limit_row_1": ("0" * 200_000 + ",0\n0,1\n", False,
+                          "field larger than field limit"),
+    "field_limit_row_2": ("1,0\n0," + "0" * 200_000 + "\n", False,
+                          "field larger than field limit"),
+}
+
+
+def _read_outcome(path):
+    """The labels and value bytes read from path, or the DataError text."""
+    try:
+        matrix = read_matrix_csv(path)
+    except DataError as err:
+        return str(err)
+    return matrix.labels, matrix.values.tobytes()
+
+
+class TestMatrixCsvRoutes:
+    @pytest.mark.parametrize("text, fast, expect", _ROUTE_CASES.values(),
+                             ids=_ROUTE_CASES.keys())
+    def test_c_route_reads_as_csv_route(self, tmp_path, monkeypatch, text,
+                                        fast, expect):
+        path = tmp_path / "m.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        with path.open(newline="", encoding="utf-8") as fh:
+            assert (matrixio._read_with_loadtxt(fh) is not None) == fast
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _read_outcome(path)
+        monkeypatch.setattr(matrixio, "_read_with_loadtxt", lambda fh: None)
+        assert _read_outcome(path) == got
+        if isinstance(expect, str):
+            assert expect in got
+        else:
+            assert got[0] == expect
+
+    def test_field_limit_error_text(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(_ROUTE_CASES["field_limit_row_2"][0])
+        limit = csv.field_size_limit()
+        with pytest.raises(DataError) as err:
+            read_matrix_csv(path)
+        assert str(err.value) == (f"cannot read {path}: field larger than "
+                                  f"field limit ({limit})")
+
+    def test_written_formats_take_the_c_route(self, rng, tmp_path,
+                                              monkeypatch):
+        # The two formats that the workflows write, and a headerless file,
+        # are read with the csv route disabled.
+        cm = random_corr(rng, tuple(f"n{k}" for k in range(6)))
+        write_matrix_csv(cm, tmp_path / "written.csv")
+        np.savetxt(tmp_path / "savetxt.csv", cm.values, fmt="%.17g",
+                   delimiter=",", header=",".join(cm.labels), comments="")
+        np.savetxt(tmp_path / "bare.csv", cm.values, fmt="%.17g",
+                   delimiter=",")
+
+        def csv_route(path, rows):
+            raise AssertionError(f"{path} fell back to the csv route")
+
+        monkeypatch.setattr(matrixio, "_parse_rows", csv_route)
+        for name, labels in (("written", cm.labels), ("savetxt", cm.labels),
+                             ("bare", tuple(f"V{k + 1}" for k in range(6)))):
+            back = read_matrix_csv(tmp_path / f"{name}.csv")
+            assert back.labels == labels
+            assert back.values.tobytes() == cm.values.tobytes()
+
+
 class TestManifest:
     def write_cohort(self, rng, tmp_path, labels, m=3):
         entries = []
@@ -101,6 +205,46 @@ class TestManifest:
         cohort = CohortManifest.load(path).load_cohort()
         assert cohort.labels == ("x", "y", "z")
         assert len(cohort.pairs) == 3
+
+    def test_labels_from_builds_one_matrix_per_file(self, rng, tmp_path,
+                                                    monkeypatch):
+        path = self.write_cohort(rng, tmp_path, ("x", "y", "z"), m=4)
+        write_matrix_csv(random_corr(rng, ("p", "q", "r")),
+                         tmp_path / "labels.csv")
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "labels_from": "labels.csv"}))
+        built, read = [], []
+
+        class Counted(ConnectivityMatrix):
+            def __post_init__(self):
+                built.append(self.labels)
+                super().__post_init__()
+
+        def counted_read(path, labels=None):
+            read.append(path.name)
+            return read_matrix_csv(path, labels)
+
+        monkeypatch.setattr(matrixio, "ConnectivityMatrix", Counted)
+        monkeypatch.setattr(matrixio, "read_matrix_csv", counted_read)
+        cohort = CohortManifest.load(path).load_cohort()
+        assert cohort.labels == ("p", "q", "r")
+        # the labels file, then each of the 8 pair files once, each read
+        # through read_matrix_csv
+        assert built == [("p", "q", "r")] * 9
+        assert read == ["labels.csv"] + [f"{side}{k}.csv" for k in range(4)
+                                         for side in "ab"]
+
+    def test_labels_from_pair_file_errors_name_the_file(self, rng, tmp_path,
+                                                        capsys):
+        path = self.write_cohort(rng, tmp_path, ("x", "y"))
+        write_matrix_csv(random_corr(rng, ("p", "q")), tmp_path / "labels.csv")
+        (tmp_path / "b1.csv").write_text("x,y\n1,0.5\n0.25,1\n")
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "labels_from": "labels.csv"}))
+        with pytest.raises(DataError) as err:
+            CohortManifest.load(path).load_cohort()
+        assert str(err.value).startswith(f"{tmp_path / 'b1.csv'}: matrix not "
+                                         "symmetric")
 
     def test_too_few_pairs(self, tmp_path):
         path = tmp_path / "cohort.json"
@@ -366,7 +510,7 @@ def test_cli_runs_without_scipy(rng, tmp_path):
         import json, sys
         sys.modules["scipy"] = None
         import combinf
-        from combinf import cli
+        from combinf import cli, matrixio
         rcs = [cli.main(["pvalue", "--q", "115", "--d", "46"]),
                cli.main(["heritability", "--mz", sys.argv[1],
                          "--dz", sys.argv[1], "--out", sys.argv[2]])]

@@ -185,7 +185,9 @@ _BAD_TOKENS = st.one_of(
 @given(p=st.integers(2, 5), data=st.data())
 def test_read_matrix_csv_parses_like_float(p, data):
     # A symmetric matrix of tokens, each cell mirrored, under a label row;
-    # sometimes with bad tokens at drawn cells.
+    # sometimes with bad tokens at drawn cells. Rows end in a drawn line
+    # terminator, the last one sometimes in none, and blank lines sometimes
+    # follow a row.
     tokens = [[None] * p for _ in range(p)]
     for i in range(p):
         for j in range(i, p):
@@ -201,10 +203,24 @@ def test_read_matrix_csv_parses_like_float(p, data):
         except ValueError:
             return False
 
+    end = data.draw(st.sampled_from(["\r\n", "\n", "\r"]))
+    blank = data.draw(st.lists(st.booleans(), min_size=p + 1, max_size=p + 1))
+    last_end = data.draw(st.booleans())
+
+    def line(row):
+        # csv quotes any field with "\r" or "\n" under its "\r\n" terminator
+        buf = io.StringIO()
+        csv.writer(buf).writerow(row)
+        return buf.getvalue()[:-2]
+
+    text = "".join(line(row) + end + end * extra for row, extra in
+                   zip([[f"n{k}" for k in range(p)], *tokens], blank))
+    if not (last_end or blank[-1]):
+        text = text[:-len(end)]
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/m.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([[f"n{k}" for k in range(p)], *tokens])
+            fh.write(text)
         bad = [(r, c, tok) for r, row in enumerate(tokens, 1)
                for c, tok in enumerate(row, 1) if not parses(tok)]
         if bad:
