@@ -121,23 +121,25 @@ def exact_pvalue(q: int, d: int) -> Fraction:
     """P(D_q >= d) = 2 sum_{k>=1} (-1)^(k+1) C(2q, q - kd) / C(2q, q),
     as an exact reduced Fraction (Gnedenko & Korolyuk 1951).
 
-    C(2q, j) is walked down from j = q by the exact integer step
-    C(2q, j - 1) = C(2q, j) j / (2q - j + 1), so the sum costs at most q
-    small-integer steps whatever d is. d = 0 returns exactly 1; d > q has
-    no terms and returns exactly 0 (the discrepancy of two length-q
-    sequences cannot exceed q).
+    The walk starts at the smallest term, C(2q, q - Kd) with K = q // d,
+    and goes up one term at a time by the exact integer step
+    C(2q, j + d) = C(2q, j) perm(2q - j, d) / perm(j + d, d), so the sum
+    costs K + 1 big-integer steps, and its last step reaches the
+    denominator C(2q, q). d = 0 returns exactly 1; d > q has no terms and
+    returns exactly 0 (the discrepancy of two length-q sequences cannot
+    exceed q).
     """
     _validate_qd(q, d, d_min=0)
     if d == 0:
         return Fraction(1)
-    central = c = math.comb(2 * q, q)
+    j = q % d
+    c = math.comb(2 * q, j)
     tail = 0
-    for j in range(q, q % d, -1):
-        c = c * j // (2 * q - j + 1)  # C(2q, j - 1), a term when q - j + 1 = kd
-        k, r = divmod(q - j + 1, d)
-        if r == 0:
-            tail += c if k % 2 else -c
-    return Fraction(2 * tail, central)
+    for k in range(q // d, 0, -1):
+        tail += c if k % 2 else -c  # C(2q, j), with j = q - kd
+        c = c * math.perm(2 * q - j, d) // math.perm(j + d, d)
+        j += d
+    return Fraction(2 * tail, c)  # c is now C(2q, q)
 
 
 @lru_cache(maxsize=None)

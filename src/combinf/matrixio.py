@@ -97,8 +97,8 @@ def _parse_rows(path, rows):
     except ValueError:
         r, c, tok = next((r, c, tok) for r, row in enumerate(rows, 1)
                          for c, tok in enumerate(row, 1) if not _is_float(tok))
-        raise DataError(f"cannot parse {tok!r} as a number at row {r}, "
-                        f"column {c}") from None
+        raise DataError(f"{path}: cannot parse {tok!r} as a number at row "
+                        f"{r}, column {c}") from None
     if short < p:
         raise DataError(
             f"{path}: row {short + 1} has {len(rows[short])} columns, "

@@ -46,8 +46,10 @@ class TestMatrixCsv:
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,b\n0.0,oops\n1.0,0.0\n")
-        with pytest.raises(DataError, match="row 1, column 2"):
+        with pytest.raises(DataError) as err:
             read_matrix_csv(path)
+        assert str(err.value) == (f"{path}: cannot parse 'oops' as a number "
+                                  f"at row 1, column 2")
 
     def test_nonsquare_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

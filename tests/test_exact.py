@@ -108,7 +108,29 @@ class TestBandCounts:
             assert exact.exact_pvalue(q, q + 5) == 0
 
 
+def _term_sum_pvalue(q, d):
+    """The Gnedenko-Korolyuk sum with each term its own math.comb."""
+    terms = sum((-1) ** (k + 1) * math.comb(2 * q, q - k * d)
+                for k in range(1, q // d + 1))
+    return Fraction(2 * terms, math.comb(2 * q, q))
+
+
+def _large_q_cases():
+    for q in (115, 116, 999, 3999):
+        divisor = next(k for k in range(math.isqrt(q), q) if q % k == 0)
+        for d in sorted({1, 2, q // 3, q // 2, q - 1, q, q + 1, divisor}):
+            yield q, d
+    yield 115, 46  # criterion 2
+    yield 116, 46  # its companion, the published value
+
+
 class TestExactPValue:
+    @pytest.mark.parametrize("q, d", list(_large_q_cases()))
+    def test_large_q_matches_term_sum(self, q, d):
+        pv = exact.exact_pvalue(q, d)
+        assert type(pv) is Fraction
+        assert pv == _term_sum_pvalue(q, d)
+
     def test_worked_example(self):
         pv = exact.exact_pvalue(3, 2)
         assert type(pv) is Fraction

@@ -227,8 +227,8 @@ def test_read_matrix_csv_parses_like_float(p, data):
             r, c, tok = bad[0]
             with pytest.raises(DataError) as err:
                 read_matrix_csv(path)
-            assert str(err.value) == (f"cannot parse {tok!r} as a number at "
-                                      f"row {r}, column {c}")
+            assert str(err.value) == (f"{path}: cannot parse {tok!r} as a "
+                                      f"number at row {r}, column {c}")
             return
         values = np.array([[float(tok) for tok in row] for row in tokens])
         try:
