@@ -19,7 +19,7 @@ kernels are plain numpy.
 
 from __future__ import annotations
 
-import numpy as np
+from ._lazy import np
 
 from .errors import ValidationError
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
 from decimal import Decimal
@@ -64,7 +65,7 @@ def _radius(text: str) -> float:
 
 def _write_step_csv(path, curve_a, curve_b, label_a, label_b) -> None:
     try:
-        with Path(path).open("w", newline="") as fh:
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["series", "weight", "edges_added"])
             for label, curve in ((label_a, curve_a), (label_b, curve_b)):
@@ -112,6 +113,13 @@ def _compare_report(ma, mb, mode, name_a, name_b, localize_center=None,
     return 0
 
 
+def _file_label(path) -> str:
+    """A file's stem as a plot and CSV label: bytes the file system could
+    not decode become U+FFFD, so the label can be written as UTF-8."""
+    stem = os.fsencode(Path(path).stem)
+    return stem.decode(sys.getfilesystemencoding(), "replace")
+
+
 def cmd_compare(args) -> int:
     ma = read_matrix_csv(args.matrix_a)
     mb = read_matrix_csv(args.matrix_b)
@@ -124,7 +132,7 @@ def cmd_compare(args) -> int:
             f"node labels differ (only in A: {only_a[:5]}, only in B: {only_b[:5]})")
     return _compare_report(
         ma, mb, _MODE_MAP[args.mode],
-        Path(args.matrix_a).stem, Path(args.matrix_b).stem,
+        _file_label(args.matrix_a), _file_label(args.matrix_b),
         localize_center=args.localize_center,
         localize_radius=args.localize_radius,
         svg=args.svg, csv_out=args.csv)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 from ._kernels import correlations
 from .errors import ValidationError

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
+from ._lazy import np
 
 from ._kernels import discrepancies
 from .errors import EnumerationLimitError, ValidationError

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+from ._lazy import np
 
 from .connectivity import ConnectivityMatrix, TwinCohort, _default_labels
 from .errors import DataError, ValidationError

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
+from ._lazy import np
 
 from . import exact
 from ._kernels import prim_sorted_keys

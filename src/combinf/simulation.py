@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-import numpy as np
+from ._lazy import np
 
 from . import _kernels
 from .connectivity import DataMatrix

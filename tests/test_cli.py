@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+import xml.etree.ElementTree as ET
 from decimal import Decimal
 from fractions import Fraction
 
@@ -380,6 +381,32 @@ class TestCliCompare:
         assert b"edge weight" in svg1 and b"edges added" in svg1
         capsys.readouterr()
 
+    def test_markup_in_file_names_is_escaped_in_svg(self, rng, tmp_path,
+                                                    capsys):
+        pa, pb = self.write_pair(rng, tmp_path)
+        pa, pb = pa.rename(tmp_path / "R&D.csv"), pb.rename(tmp_path / "x<y>.csv")
+        svg = tmp_path / "o.svg"
+        assert cli.main(["compare", str(pa), str(pb), "--svg", str(svg)]) == 0
+        texts = [el.text for el in ET.parse(svg).iter()
+                 if el.tag.endswith("text")]
+        assert "R&D (solid)" in texts and "x<y> (dashed)" in texts
+        capsys.readouterr()
+
+    def test_undecodable_file_name_gives_replacement_label(self, rng, tmp_path,
+                                                           capsys):
+        pa, pb = self.write_pair(rng, tmp_path)
+        pb = pb.rename(tmp_path / os.fsdecode(b"gr\xfc.csv"))
+        svg, steps = tmp_path / "o.svg", tmp_path / "o.csv"
+        assert cli.main(["compare", str(pa), str(pb), "--svg", str(svg),
+                         "--csv", str(steps)]) == 0
+        texts = [el.text for el in ET.parse(svg).iter()
+                 if el.tag.endswith("text")]
+        assert "gr\ufffd (dashed)" in texts
+        with steps.open(encoding="utf-8", newline="") as fh:
+            series = {row["series"] for row in csv.DictReader(fh)}
+        assert series == {"A", "gr\ufffd"}
+        capsys.readouterr()
+
     @pytest.mark.parametrize("flag", ["--svg", "--csv"])
     def test_output_into_missing_directory_exit_2(self, rng, tmp_path, capsys,
                                                   flag):
@@ -506,19 +533,24 @@ class TestCliHeritability:
 
 def test_cli_runs_without_scipy(rng, tmp_path):
     # scipy is a test dependency only: with its import blocked, the
-    # commands still run, and nothing under scipy is loaded.
+    # commands still run, and nothing under scipy is loaded. pvalue uses no
+    # arrays, so it loads no numpy submodule either; heritability then
+    # loads numpy on its first array call.
     manifest = TestManifest().write_cohort(rng, tmp_path, ("x", "y", "z"), m=4)
     code = """if True:
         import json, sys
         sys.modules["scipy"] = None
         import combinf
         from combinf import cli, matrixio
-        rcs = [cli.main(["pvalue", "--q", "115", "--d", "46"]),
-               cli.main(["heritability", "--mz", sys.argv[1],
-                         "--dz", sys.argv[1], "--out", sys.argv[2]])]
+        rcs = [cli.main(["pvalue", "--q", "115", "--d", "46"])]
+        numpy_loaded = [name for name in sys.modules
+                        if name.startswith("numpy.")]
+        rcs.append(cli.main(["heritability", "--mz", sys.argv[1],
+                             "--dz", sys.argv[1], "--out", sys.argv[2]]))
         loaded = [name for name, module in sys.modules.items()
                   if name.split(".")[0] == "scipy" and module is not None]
-        print(json.dumps({"rcs": rcs, "scipy": loaded}))
+        print(json.dumps({"rcs": rcs, "scipy": loaded,
+                          "numpy_after_pvalue": numpy_loaded}))
     """
     src = os.path.dirname(os.path.dirname(combinf.__file__))
     done = subprocess.run(
@@ -526,7 +558,25 @@ def test_cli_runs_without_scipy(rng, tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"rcs": [0, 0], "scipy": []}
+    assert result == {"rcs": [0, 0], "scipy": [], "numpy_after_pvalue": []}
+
+
+def test_blocked_numpy_fails_at_import():
+    # numpy loads lazily, but a missing or blocked numpy is still an
+    # ImportError at import time, not an AttributeError on first use.
+    code = """if True:
+        import sys
+        sys.modules["numpy"] = None
+        try:
+            import combinf
+        except ImportError as err:
+            print(type(err).__name__)
+    """
+    src = os.path.dirname(os.path.dirname(combinf.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ModuleNotFoundError"]
 
 
 class TestCliSimulate:
