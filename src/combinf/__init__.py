@@ -11,14 +11,8 @@ from .connectivity import (
     spearman_correlation,
     twin_edgewise_correlation,
 )
-from .errors import DataError, EnumerationLimitError, ValidationError
-from .exact import (
-    DiscrepancyResult,
-    brute_force_pvalue,
-    count_band_paths,
-    discrepancy,
-    exact_pvalue,
-)
+from .errors import DataError, ValidationError
+from .exact import DiscrepancyResult, discrepancy, exact_pvalue
 from .mst import (
     SpanningForest,
     WeightMode,
@@ -42,12 +36,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConnectivityMatrix", "DataError", "DataMatrix", "DiscrepancyResult",
-    "EnumerationLimitError", "ExperimentReport", "RngStream",
-    "SimulationConfig", "SpanningForest", "TwinCohort",
-    "ValidationError", "WeightMode", "brute_force_pvalue", "compare_msts",
-    "count_band_paths", "discrepancy", "exact_pvalue", "growth_curve",
-    "heritability_index", "kernel_backend", "localize_nodes",
-    "mst_from_connectivity", "pearson_correlation_matrix", "permutation_test",
+    "ExperimentReport", "RngStream", "SimulationConfig", "SpanningForest",
+    "TwinCohort", "ValidationError", "WeightMode", "compare_msts",
+    "discrepancy", "exact_pvalue", "growth_curve", "heritability_index",
+    "kernel_backend", "localize_nodes", "mst_from_connectivity",
+    "pearson_correlation_matrix", "permutation_test",
     "run_combinatorial_trial", "run_experiment", "simulate_modular_data",
     "simulate_modular_pair", "spearman_correlation",
     "twin_edgewise_correlation",

@@ -26,7 +26,6 @@ from .errors import ValidationError
 # Matrix cells per (2 x relabelings, p, p) array in one chunk of the null:
 # large enough to amortise numpy's per-call cost, small enough that the
 # temporaries stay in cache and peak memory does not grow with the count.
-# At n=10, p=40 a chunk of 10 relabelings timed fastest of 2**13..2**17.
 _CHUNK_CELLS = 2 ** 15
 
 

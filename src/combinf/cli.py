@@ -128,6 +128,12 @@ def cmd_compare(args) -> int:
     if ma.labels != mb.labels:
         only_a = sorted(set(ma.labels) - set(mb.labels))
         only_b = sorted(set(mb.labels) - set(ma.labels))
+        if not only_a and not only_b:
+            i = next(i for i, (a, b) in enumerate(zip(ma.labels, mb.labels))
+                     if a != b)
+            raise DataError(
+                f"node labels differ in order: position {i} is "
+                f"{ma.labels[i]!r} in A and {mb.labels[i]!r} in B")
         raise DataError(
             f"node labels differ (only in A: {only_a[:5]}, only in B: {only_b[:5]})")
     return _compare_report(

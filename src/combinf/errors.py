@@ -14,9 +14,5 @@ class ValidationError(CombinfError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class EnumerationLimitError(ValidationError):
-    """A brute-force enumeration was requested beyond its capacity bound."""
-
-
 class DataError(CombinfError):
     """Input data (files, matrices, manifests) is malformed or inconsistent."""

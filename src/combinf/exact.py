@@ -2,8 +2,7 @@
 
 Implements the merged-sequence discrepancy statistic of two sorted feature
 sequences and its exact null distribution by the Gnedenko-Korolyuk closed
-form, together with two oracles for validation: the band-restricted
-lattice-path count and brute-force enumeration.
+form.
 """
 
 from __future__ import annotations
@@ -12,14 +11,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from ._lazy import np
 
 from ._kernels import discrepancies
-from .errors import EnumerationLimitError, ValidationError
-
-BRUTE_FORCE_MAX_Q = 12
+from .errors import ValidationError
 
 
 class TieWarning(UserWarning):
@@ -86,35 +82,11 @@ def discrepancy(a, b) -> DiscrepancyResult:
                              q=a.size, ties_absorbed=ties)
 
 
-def _validate_qd(q: int, d: int, d_min: int) -> None:
+def _validate_qd(q: int, d: int) -> None:
     if q < 1:
         raise ValidationError(f"q must be >= 1, got {q}")
-    if d < d_min:
-        raise ValidationError(f"d must be >= {d_min}, got {d}")
-
-
-def count_band_paths(q: int, d: int) -> int:
-    """A_{q,q}, the number of monotone lattice paths from (0,0) to (q,q)
-    inside the band |u - v| < d, by the band recurrence over two rolling
-    rows: the independent oracle for ``exact_pvalue``'s closed form, since
-    P(D_q >= d) = 1 - A_{q,q} / C(2q, q).
-
-    In-band axis cells are 1 and interior in-band cells follow
-    A[u][v] = A[u-1][v] + A[u][v-1]. O(q d) big-int adds, memory O(q).
-    """
-    _validate_qd(q, d, d_min=1)
-    prev = [0] * (q + 1)
-    for v in range(1, q + 1):
-        prev[v] = 1 if v < d else 0
-    for u in range(1, q + 1):
-        cur = [0] * (q + 1)
-        cur[0] = 1 if u < d else 0
-        lo = max(1, u - d + 1)
-        hi = min(q, u + d - 1)
-        for v in range(lo, hi + 1):
-            cur[v] = prev[v] + cur[v - 1]
-        prev = cur
-    return prev[q]
+    if d < 0:
+        raise ValidationError(f"d must be >= 0, got {d}")
 
 
 def exact_pvalue(q: int, d: int) -> Fraction:
@@ -129,7 +101,7 @@ def exact_pvalue(q: int, d: int) -> Fraction:
     returns exactly 0 (the discrepancy of two length-q sequences cannot
     exceed q).
     """
-    _validate_qd(q, d, d_min=0)
+    _validate_qd(q, d)
     if d == 0:
         return Fraction(1)
     j = q % d
@@ -140,37 +112,3 @@ def exact_pvalue(q: int, d: int) -> Fraction:
         c = c * math.perm(2 * q - j, d) // math.perm(j + d, d)
         j += d
     return Fraction(2 * tail, c)  # c is now C(2q, q)
-
-
-@lru_cache(maxsize=None)
-def _brute_force_max_counts(q: int) -> tuple[int, ...]:
-    """counts[m] = number of monotone (0,0)->(q,q) paths whose max |u - v|
-    equals m, by full enumeration of all C(2q, q) paths: each 2q-bit mask
-    with q set bits is one path, bit s set when step s goes right."""
-    steps = 2 * q
-    shifts = np.arange(steps, dtype=np.uint32)
-    counts = np.zeros(q + 1, dtype=np.int64)
-    chunk = 1 << 20
-    for start in range(0, 1 << steps, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << steps), dtype=np.uint32)
-        masks = masks[np.bitwise_count(masks) == q]
-        right = ((masks[:, None] >> shifts) & 1).astype(np.int8)
-        walk = np.cumsum(2 * right - 1, axis=1, dtype=np.int8)
-        counts += np.bincount(np.abs(walk).max(axis=1), minlength=q + 1)
-    return tuple(int(c) for c in counts)
-
-
-def brute_force_pvalue(q: int, d: int) -> float:
-    """Enumeration oracle for exact_pvalue: fraction of all interleavings of
-    q right-steps and q up-steps whose max prefix gap is >= d."""
-    _validate_qd(q, d, d_min=0)
-    if q > BRUTE_FORCE_MAX_Q:
-        raise EnumerationLimitError(
-            f"brute force enumeration supports q <= {BRUTE_FORCE_MAX_Q}, got {q}"
-        )
-    if d == 0:
-        return 1.0
-    counts = _brute_force_max_counts(q)
-    total = math.comb(2 * q, q)
-    atleast = sum(counts[min(d, q + 1):]) if d <= q else 0
-    return atleast / total

@@ -115,6 +115,9 @@ class SimulationConfig:
         if self.replications < 1:
             raise ValidationError(
                 f"/replications: need >= 1, got {self.replications}")
+        # Report columns and rows are keyed by label, so a repeated label
+        # would merge or overwrite results.
+        labels = {}
         for idx, f in enumerate(self.permutation_fractions):
             if not (0 < f <= 1):
                 raise ValidationError(
@@ -124,13 +127,25 @@ class SimulationConfig:
                     f"/permutation_fractions/{idx}: {f} x C({2 * self.n}, "
                     f"{self.n}) relabelings of {2 * self.n} indices each exceed "
                     f"{MAX_RELABELING_INDICES} indices")
+            label = _method_label(float(f))
+            if label in labels:
+                raise ValidationError(
+                    f"/permutation_fractions/{idx}: {f} has the label {label} "
+                    f"of /permutation_fractions/{labels[label]}")
+            labels[label] = idx
         if not self.pairings:
             raise ValidationError("/pairings: need at least one pairing")
+        pairs = {}
         for idx, (ka, kb) in enumerate(self.pairings):
             for k in (ka, kb):
                 if k < 0 or (k > 0 and self.p % k != 0):
                     raise ValidationError(
                         f"/pairings/{idx}: module count {k} must be 0 or divide p={self.p}")
+            pair = (int(ka), int(kb))
+            if pair in pairs:
+                raise ValidationError(
+                    f"/pairings/{idx}: [{ka}, {kb}] repeats /pairings/{pairs[pair]}")
+            pairs[pair] = idx
         object.__setattr__(self, "permutation_fractions",
                            tuple(float(f) for f in self.permutation_fractions))
         object.__setattr__(self, "pairings",

@@ -15,6 +15,8 @@ from scipy.stats import ks_2samp
 
 import combinf as c
 from combinf import cli, mst
+from exact_reference import (band_pvalue, brute_force_pvalue, count_band_paths,
+                             term_sum_pvalue)
 from kruskal_reference import WeightedGraph, in_weight_order, kruskal_mst
 
 
@@ -27,7 +29,7 @@ def report(name, ok, detail=""):
 def test_criterion_1_worked_example_exact():
     t0 = time.perf_counter()
     pv = c.exact_pvalue(3, 2)
-    corner = c.count_band_paths(3, 2)
+    corner = count_band_paths(3, 2)
     elapsed = time.perf_counter() - t0
     ok = (pv.numerator, pv.denominator) == (3, 5) and float(pv) == 0.6 and corner == 8
     report("criterion 1: worked example exactness", ok,
@@ -41,17 +43,14 @@ def test_criterion_2_twin_pvalue():
     elapsed = time.perf_counter() - t0
 
     # Oracle 1: Gnedenko-Korolyuk closed form, exact in integers.
-    closed_form = Fraction(
-        2 * sum((-1) ** (k + 1) * math.comb(2 * q, q - k * d)
-                for k in range(1, q // d + 1)),
-        math.comb(2 * q, q))
+    closed_form = term_sum_pvalue(q, d)
     # Oracle 2: D_q is q times the two-sample KS statistic, so scipy's exact
     # KS test on samples whose largest CDF gap is d must give the same tail.
     x = np.arange(float(q))
     ks = ks_2samp(x, x + d - 0.5, method="exact")
     assert ks.statistic == d / q
     # Oracle 3: the band DP, 1 - (paths inside |u - v| < d) / C(2q, q).
-    band = 1 - Fraction(c.count_band_paths(q, d), math.comb(2 * q, q))
+    band = band_pvalue(q, d)
 
     ok = (pv == closed_form == band
           and math.isclose(float(pv), ks.pvalue, rel_tol=1e-12)
@@ -74,15 +73,12 @@ def test_criterion_2_companion_published_value_is_q_116():
 
 def test_criterion_3_oracle_equivalence():
     t0 = time.perf_counter()
-    worst = 0.0
-    for q in range(1, 9):
-        for d in range(0, q + 2):
-            gap = abs(float(c.exact_pvalue(q, d)) - c.brute_force_pvalue(q, d))
-            worst = max(worst, gap)
+    mismatches = [(q, d) for q in range(1, 9) for d in range(0, q + 2)
+                  if c.exact_pvalue(q, d) != brute_force_pvalue(q, d)]
     elapsed = time.perf_counter() - t0
     report("criterion 3: exact p-value equals brute-force oracle (q<=8)",
-           worst <= 1e-12 and elapsed < 30,
-           f"max |gap|={worst:.2e}, {elapsed:.1f} s")
+           not mismatches and elapsed < 30,
+           f"mismatched (q, d): {mismatches}, {elapsed:.1f} s")
 
 
 def test_criterion_4_boundary_laws_and_monotonicity():

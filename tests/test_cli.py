@@ -17,6 +17,7 @@ from combinf import cli, matrixio
 from combinf.connectivity import ConnectivityMatrix, DataMatrix, pearson_correlation_matrix
 from combinf.errors import DataError
 from combinf.matrixio import CohortManifest, read_matrix_csv, write_matrix_csv
+from exact_reference import band_pvalue
 
 
 def random_corr(rng, labels, n=15):
@@ -289,8 +290,7 @@ class TestCliPvalue:
         out = capsys.readouterr().out
         num, den = out.split("(exact ")[1].rstrip(")\n").split("/")
         # The band DP, not the closed form the command computes.
-        expected = 1 - Fraction(combinf.count_band_paths(q, d),
-                                math.comb(2 * q, q))
+        expected = band_pvalue(q, d)
         assert Fraction(int(Decimal(num)), int(Decimal(den))) == expected
         assert len(den) > 4300  # CPython's default limit
 
@@ -428,6 +428,15 @@ class TestCliCompare:
         write_matrix_csv(random_corr(rng, ("a", "b", "c", "d", "z")), other)
         assert cli.main(["compare", str(pa), str(other)]) == 2
         assert "only in B" in capsys.readouterr().err
+
+    def test_reordered_labels_exit_2(self, rng, tmp_path, capsys):
+        pa, pb = tmp_path / "A.csv", tmp_path / "B.csv"
+        write_matrix_csv(random_corr(rng, ("a", "b", "c")), pa)
+        write_matrix_csv(random_corr(rng, ("b", "a", "c")), pb)
+        assert cli.main(["compare", str(pa), str(pb)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: node labels differ in order: position 0 is 'a' in A "
+            "and 'b' in B\n")
 
     def test_localize_output(self, rng, tmp_path, capsys):
         pa, pb = self.write_pair(rng, tmp_path)
@@ -653,6 +662,24 @@ class TestCliSimulate:
         assert cli.main(["simulate", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 1
         assert f"error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"permutation_fractions": [0.1, 0.1]}, "/permutation_fractions/1"),
+        ({"permutation_fractions": [0.001, 0.0010000000000000002]},
+         "/permutation_fractions/1"),
+        ({"pairings": [[0, 0], [2, 2], [0, 0]]}, "/pairings/2"),
+    ], ids=["same_fraction", "same_fraction_label", "same_pairing"])
+    def test_repeated_report_label_exit_1(self, tmp_path, capsys, extra, key):
+        # report.json keys its columns and rows by label, so a repeat would
+        # merge or overwrite p-values
+        doc = {"seed": 3, "n": 4, "p": 4, "replications": 2,
+               "pairings": [[0, 0]], "permutation_fractions": [0.1], **extra}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json"),

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from combinf import exact
-from combinf.errors import EnumerationLimitError, ValidationError
+from combinf.errors import ValidationError
+from exact_reference import (band_pvalue, brute_force_pvalue, count_band_paths,
+                             term_sum_pvalue)
 
 
 def oracle_discrepancy(a, b):
@@ -90,29 +92,20 @@ class TestDiscrepancy:
 
 class TestBandCounts:
     def test_worked_example(self):
-        assert exact.count_band_paths(3, 2) == 8
+        assert count_band_paths(3, 2) == 8
 
     def test_wide_band_is_unconstrained(self):
-        assert exact.count_band_paths(2, 3) == 6
+        assert count_band_paths(2, 3) == 6
 
     def test_degenerate_band(self):
-        assert exact.count_band_paths(2, 1) == 0
+        assert count_band_paths(2, 1) == 0
 
     def test_closed_form_matches_band_dp(self):
         for q in range(1, 61):
-            total = math.comb(2 * q, q)
             for d in range(1, q + 2):
-                assert (exact.exact_pvalue(q, d)
-                        == 1 - Fraction(exact.count_band_paths(q, d), total))
+                assert exact.exact_pvalue(q, d) == band_pvalue(q, d)
             assert exact.exact_pvalue(q, 0) == 1
             assert exact.exact_pvalue(q, q + 5) == 0
-
-
-def _term_sum_pvalue(q, d):
-    """The Gnedenko-Korolyuk sum with each term its own math.comb."""
-    terms = sum((-1) ** (k + 1) * math.comb(2 * q, q - k * d)
-                for k in range(1, q // d + 1))
-    return Fraction(2 * terms, math.comb(2 * q, q))
 
 
 def _large_q_cases():
@@ -129,7 +122,7 @@ class TestExactPValue:
     def test_large_q_matches_term_sum(self, q, d):
         pv = exact.exact_pvalue(q, d)
         assert type(pv) is Fraction
-        assert pv == _term_sum_pvalue(q, d)
+        assert pv == term_sum_pvalue(q, d)
 
     def test_worked_example(self):
         pv = exact.exact_pvalue(3, 2)
@@ -177,23 +170,17 @@ class TestExactPValue:
 
 class TestBruteForceOracle:
     def test_worked_example(self):
-        assert exact.brute_force_pvalue(3, 2) == 0.6
+        assert brute_force_pvalue(3, 2) == Fraction(3, 5)
 
     def test_trivial_cases(self):
-        assert exact.brute_force_pvalue(1, 1) == 1.0
-        assert exact.brute_force_pvalue(4, 5) == 0.0
-        assert exact.brute_force_pvalue(6, 0) == 1.0
-
-    def test_capacity_bound(self):
-        with pytest.raises(EnumerationLimitError):
-            exact.brute_force_pvalue(13, 2)
+        assert brute_force_pvalue(1, 1) == 1
+        assert brute_force_pvalue(4, 5) == 0
+        assert brute_force_pvalue(6, 0) == 1
 
     def test_matches_dp_everywhere(self):
         for q in range(1, 9):
             for d in range(0, q + 2):
-                dp = float(exact.exact_pvalue(q, d))
-                bf = exact.brute_force_pvalue(q, d)
-                assert dp == pytest.approx(bf, abs=1e-12)
+                assert exact.exact_pvalue(q, d) == brute_force_pvalue(q, d)
 
 
 class TestTransformInvariance:

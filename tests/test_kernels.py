@@ -45,18 +45,23 @@ def reference_null(pooled, perms, one_minus):
 
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 @pytest.mark.parametrize("one_minus", [False, True])
-def test_permutation_null_matches_per_relabeling_reference(sigma, one_minus):
+def test_permutation_null_matches_per_relabeling_reference(sigma, one_minus,
+                                                           monkeypatch):
     n, p = 10, 40
     a, b = simulate_modular_pair(n, p, 4, 8, sigma, RngStream(31, 0))
     pooled = np.vstack([a.values, b.values])
     rng = np.random.default_rng(32)
-    chunk = _kernels._CHUNK_CELLS // (2 * p * p)
-    # more than two chunks, the last one partial, and a lone relabeling
-    perms = np.array([rng.permutation(2 * n) for _ in range(2 * chunk + 3)])
-    for batch in (perms, perms[:1]):
-        got = _kernels.permutation_null(pooled, batch, one_minus)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, reference_null(pooled, batch, one_minus))
+    perms = np.array([rng.permutation(2 * n) for _ in range(23)])
+    expected = reference_null(pooled, perms, one_minus)
+    # The null is bit-identical for one relabeling a chunk, the default
+    # chunk (10 relabelings at p = 40: more than two chunks, the last one
+    # partial) and the whole batch in one chunk; and for a lone relabeling.
+    for cells in (2 * p * p, _kernels._CHUNK_CELLS, len(perms) * 2 * p * p):
+        monkeypatch.setattr(_kernels, "_CHUNK_CELLS", cells)
+        for count in (len(perms), 1):
+            got = _kernels.permutation_null(pooled, perms[:count], one_minus)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected[:count]), (cells, count)
 
 
 def test_discrepancy_kernel_matches_reference():

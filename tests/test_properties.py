@@ -29,17 +29,17 @@ from scipy.stats import ks_2samp, rankdata
 from combinf import cli, connectivity, exact, mst
 from combinf.errors import DataError, ValidationError
 from combinf.matrixio import read_matrix_csv, write_matrix_csv
+from exact_reference import BRUTE_FORCE_MAX_Q, band_pvalue, brute_force_pvalue
 from kruskal_reference import in_weight_order, kruskal_of_matrix
 
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @FEW
-@given(q=st.integers(1, exact.BRUTE_FORCE_MAX_Q), data=st.data())
+@given(q=st.integers(1, BRUTE_FORCE_MAX_Q), data=st.data())
 def test_exact_pvalue_matches_brute_force(q, data):
     d = data.draw(st.integers(0, q + 1))
-    assert math.isclose(float(exact.exact_pvalue(q, d)),
-                        exact.brute_force_pvalue(q, d), rel_tol=1e-12)
+    assert exact.exact_pvalue(q, d) == brute_force_pvalue(q, d)
 
 
 @FEW
@@ -81,8 +81,7 @@ def test_cli_pvalue_exit_codes(q, d):
         elif d > q:
             assert got == 0
         else:
-            assert got == 1 - Fraction(exact.count_band_paths(q, d),
-                                       math.comb(2 * q, q))
+            assert got == band_pvalue(q, d)
 
 
 @FEW
