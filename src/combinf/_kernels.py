@@ -5,13 +5,13 @@ statistic batched over groups.
 stack of key matrices) is the package's only MST routine. Two kernels are the
 one definition of the statistic: ``sorted_mst_weights`` (data -> column
 ``correlations`` -> sorted MST weights, for a stack of groups) and
-``discrepancies`` (two rows of sorted weights -> D_q and the smallest merged
-value attaining it, absorbing values equal across the rows).
+``discrepancies`` (two rows of sorted weights -> D_q, the smallest merged
+value attaining it, and whether the rows share a value, which it absorbs).
 ``permutation_null`` chains them over chunks of relabelings (for
 ``simulation.permutation_test``, whose relabeling 0 is the observed split),
 ``simulation.observed_discrepancy`` over one pair of groups (for the exact
 trial), and ``exact.discrepancy`` calls ``discrepancies`` alone on two
-sorted weight arrays;
+sorted weight arrays, the one place that reports ties (``ties_absorbed``);
 ``mst.mst_from_connectivity`` calls ``prim_sorted_keys`` on edge ranks and
 ``connectivity.pearson_correlation_matrix`` calls ``correlations``. All
 kernels are plain numpy.
@@ -107,23 +107,27 @@ def discrepancies(wa, wb):
     """Max step-function gap for each row pair of two (m, q) arrays of
     sorted weights, and the smallest merged value attaining it.
 
-    Returns (d, at): an int64 array of the m gaps and a float array of the
-    values. The gap is evaluated after all values equal to a merged value
-    have been counted in both rows, so values shared by the two rows are
-    absorbed jointly and identical rows give 0.
+    Returns (d, at, tied): the m gaps (int64), the values, and whether the
+    rows share a value (-0.0 equals 0.0, NaN nothing). The gap is evaluated
+    after all values equal to a merged value have been counted in both
+    rows, so shared values are absorbed jointly and identical rows give 0.
     """
     m, q = wa.shape
     merged = np.concatenate([wa, wb], axis=1)
     order = np.argsort(merged, axis=1, kind="stable")
     values = np.take_along_axis(merged, order, axis=1)
-    gap = np.abs(np.cumsum(np.where(order < q, 1, -1), axis=1))
+    in_a = order < q
+    gap = np.abs(np.cumsum(np.where(in_a, 1, -1), axis=1))
     # Only the last element of each run of equal values ends a step.
     run_end = np.ones((m, 2 * q), dtype=bool)
     run_end[:, :-1] = values[:, 1:] != values[:, :-1]
     step_gap = gap * run_end
     first = step_gap.argmax(axis=1)
     rows = np.arange(m)
-    return step_gap[rows, first], values[rows, first]
+    # The stable sort puts a run's wa values before its wb values, so a run
+    # holds both rows iff a wa value is followed by a wb value inside it.
+    tied = (~run_end[:, :-1] & in_a[:, :-1] & ~in_a[:, 1:]).any(axis=1)
+    return step_gap[rows, first], values[rows, first], tied
 
 
 def permutation_null(Z, perms, one_minus):

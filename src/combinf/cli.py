@@ -51,16 +51,21 @@ def cmd_pvalue(args) -> int:
     return 0
 
 
-def _radius(text: str) -> float:
-    """--localize-radius: a float >= 0, checked before any output."""
-    try:
-        radius = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}") from None
-    if not radius >= 0:
-        raise argparse.ArgumentTypeError(f"radius must be >= 0, got {radius}")
-    return radius
+def _float_option(valid, rule):
+    """An argparse type: a float that valid() accepts, else 'rule, got x'."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+    return parse
+
+
+_center = _float_option(lambda c: c == c, "center must not be NaN")
+_radius = _float_option(lambda r: r >= 0, "radius must be >= 0")
 
 
 def _write_step_csv(path, curve_a, curve_b, label_a, label_b) -> None:
@@ -87,10 +92,7 @@ def _compare_report(ma, mb, mode, name_a, name_b, localize_center=None,
             f"{name_a} has {forest_a.component_count} component(s), "
             f"{name_b} has {forest_b.component_count} component(s)")
     weights_a, weights_b = forest_a.weights, forest_b.weights
-    with warnings.catch_warnings():
-        # reported once, below, without the library warning's source line
-        warnings.simplefilter("ignore", exact.TieWarning)
-        res, pv = mst.compare_msts(weights_a, weights_b)
+    res, pv = mst.compare_msts(weights_a, weights_b)
     print(f"q = {res.q}")
     print(f"D = {res.d} at weight {res.argmax_location:.6g}")
     print(f"p-value = {_format_pvalue(pv)}")
@@ -224,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix_a")
     p.add_argument("matrix_b")
     p.add_argument("--mode", choices=sorted(_MODE_MAP), default="distance")
-    p.add_argument("--localize-center", type=float, default=None)
+    p.add_argument("--localize-center", type=_center, default=None)
     p.add_argument("--localize-radius", type=_radius, default=None)
     p.add_argument("--svg", default=None, help="write growth-curve plot")
     p.add_argument("--csv", default=None, help="write both step functions")
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dz", required=True, help="DZ cohort manifest (JSON)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--symmetrize", action="store_true")
-    p.add_argument("--localize-center", type=float, default=None)
+    p.add_argument("--localize-center", type=_center, default=None)
     p.add_argument("--localize-radius", type=_radius, default=None)
     p.set_defaults(func=cmd_heritability)
 

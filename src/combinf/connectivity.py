@@ -50,10 +50,10 @@ class DataMatrix:
 class ConnectivityMatrix:
     """Symmetric p x p edge-weight matrix with node labels.
 
-    The only validator of connectivity matrices: square, one label per node,
-    finite, and symmetric within SYMMETRY_TOL. Stores the mean of the matrix
-    and its transpose, which leaves an exactly symmetric input bit for bit
-    (barring subnormal entries).
+    The only validator of connectivity matrices: square, one distinct label
+    per node, finite, and symmetric within SYMMETRY_TOL. Stores the mean of
+    the matrix and its transpose, which leaves an exactly symmetric input
+    bit for bit (barring subnormal entries).
     """
 
     labels: tuple[str, ...]
@@ -66,6 +66,10 @@ class ConnectivityMatrix:
         if len(self.labels) != values.shape[0]:
             raise ValidationError(
                 f"{len(self.labels)} labels for {values.shape[0]} nodes")
+        if len(set(self.labels)) < len(self.labels):
+            i = next(i for i, v in enumerate(self.labels) if v in self.labels[:i])
+            raise ValidationError(f"node label {self.labels[i]!r} repeated at "
+                                  f"positions {self.labels.index(self.labels[i])} and {i}")
         finite = np.isfinite(values)
         if not finite.all():
             i, j = np.argwhere(~finite)[0]

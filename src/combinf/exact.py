@@ -8,7 +8,6 @@ form.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,11 +15,6 @@ from ._lazy import np
 
 from ._kernels import discrepancies
 from .errors import ValidationError
-
-
-class TieWarning(UserWarning):
-    """Values shared across the two compared sequences were absorbed jointly;
-    the exact null assumes continuous (tie-free) data."""
 
 
 @dataclass(frozen=True)
@@ -61,32 +55,17 @@ def discrepancy(a, b) -> DiscrepancyResult:
 
     The sup over continuous t is attained at merged data values; elements
     equal across the two arrays are absorbed jointly, so identical arrays
-    give d = 0 (with a tie warning, since the exact null assumes continuous
-    data).
+    give d = 0. ties_absorbed says whether the arrays share a value: the
+    exact null assumes continuous (tie-free) data.
     """
     a, b = _sorted_values(a), _sorted_values(b)
     if a.size != b.size:
         raise ValidationError(
             f"sequences must have equal length, got {a.size} and {b.size}"
         )
-    d, loc = discrepancies(a[None], b[None])
-    ties = bool(np.isin(a, b).any())
-    if ties:
-        warnings.warn(
-            "values shared across both sequences were absorbed jointly; "
-            "the exact null distribution assumes tie-free data",
-            TieWarning,
-            stacklevel=2,
-        )
+    d, loc, tied = discrepancies(a[None], b[None])
     return DiscrepancyResult(d=int(d[0]), argmax_location=float(loc[0]),
-                             q=a.size, ties_absorbed=ties)
-
-
-def _validate_qd(q: int, d: int) -> None:
-    if q < 1:
-        raise ValidationError(f"q must be >= 1, got {q}")
-    if d < 0:
-        raise ValidationError(f"d must be >= 0, got {d}")
+                             q=a.size, ties_absorbed=bool(tied[0]))
 
 
 def exact_pvalue(q: int, d: int) -> Fraction:
@@ -101,7 +80,10 @@ def exact_pvalue(q: int, d: int) -> Fraction:
     returns exactly 0 (the discrepancy of two length-q sequences cannot
     exceed q).
     """
-    _validate_qd(q, d)
+    if q < 1:
+        raise ValidationError(f"q must be >= 1, got {q}")
+    if d < 0:
+        raise ValidationError(f"d must be >= 0, got {d}")
     if d == 0:
         return Fraction(1)
     j = q % d

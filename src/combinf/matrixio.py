@@ -20,17 +20,24 @@ _NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 def read_matrix_csv(path, labels=None) -> ConnectivityMatrix:
     """Read a square numeric CSV, with an optional first header row of node
     labels (detected when any first-row token is non-numeric). Labels, when
-    given, replace the header; they default to V1..Vp. ConnectivityMatrix
-    validates the values, and its errors are raised as DataError with the
-    path."""
+    given, must equal the header of a file that has one; they default to
+    the header, else V1..Vp. ConnectivityMatrix validates the values and a
+    header before they are compared with the labels; its errors and a label
+    conflict are raised as DataError with the path."""
     path = Path(path)
     header, values = _read_table(path)
-    if labels is None:
-        labels = header or _default_labels(len(values))
     try:
-        return ConnectivityMatrix(labels, values)
+        matrix = ConnectivityMatrix(
+            header or labels or _default_labels(len(values)), values)
+        if labels is not None and tuple(labels) != matrix.labels:
+            if len(labels) != matrix.p:
+                raise ValidationError(f"{len(labels)} labels for {matrix.p} nodes")
+            i = [h == k for h, k in zip(matrix.labels, labels)].index(False)
+            raise ValidationError(f"header has {matrix.labels[i]!r} at position "
+                                  f"{i}, the labels {labels[i]!r}")
     except ValidationError as err:
         raise DataError(f"{path}: {err}") from err
+    return matrix
 
 
 def write_matrix_csv(matrix, path) -> None:
@@ -191,8 +198,8 @@ class CohortManifest:
                     if labels is None:
                         raise
                     read_matrix_csv(path)  # the file's own errors come first
-                    # past them, only the label count can fail
-                    raise DataError(f"{pa}, {pb}: labels from "
+                    # past them, only the label count or the header can fail
+                    raise DataError(f"{path}: labels from "
                                     f"{self.labels_from}: {err.__cause__}") from err
             pairs.append(tuple(pair))
         try:

@@ -305,7 +305,7 @@ def observed_discrepancy(group_a: DataMatrix, group_b: DataMatrix,
         return _kernels.sorted_mst_weights(
             group.values[None], one_minus,
             lambda k, j: f"column {j} is constant in group {name}")
-    d, _ = _kernels.discrepancies(weights(group_a, "A"), weights(group_b, "B"))
+    d, _, _ = _kernels.discrepancies(weights(group_a, "A"), weights(group_b, "B"))
     return int(d[0])
 
 

@@ -212,7 +212,7 @@ class TestManifest:
 
     def test_labels_from_builds_one_matrix_per_file(self, rng, tmp_path,
                                                     monkeypatch):
-        path = self.write_cohort(rng, tmp_path, ("x", "y", "z"), m=4)
+        path = self.write_cohort(rng, tmp_path, ("p", "q", "r"), m=4)
         write_matrix_csv(random_corr(rng, ("p", "q", "r")),
                          tmp_path / "labels.csv")
         doc = json.loads(path.read_text())
@@ -240,8 +240,9 @@ class TestManifest:
 
     def test_labels_from_pair_file_errors_name_the_file(self, rng, tmp_path,
                                                         capsys):
-        path = self.write_cohort(rng, tmp_path, ("x", "y"))
+        path = self.write_cohort(rng, tmp_path, ("p", "q"))
         write_matrix_csv(random_corr(rng, ("p", "q")), tmp_path / "labels.csv")
+        # b1's own error comes before its header's conflict with the labels
         (tmp_path / "b1.csv").write_text("x,y\n1,0.5\n0.25,1\n")
         doc = json.loads(path.read_text())
         path.write_text(json.dumps({**doc, "labels_from": "labels.csv"}))
@@ -249,6 +250,24 @@ class TestManifest:
             CohortManifest.load(path).load_cohort()
         assert str(err.value).startswith(f"{tmp_path / 'b1.csv'}: matrix not "
                                          "symmetric")
+
+    def test_labels_from_header_must_equal_the_labels(self, rng, tmp_path):
+        labels = ("a", "b", "c", "d")
+        path = self.write_cohort(rng, tmp_path, labels)
+        write_matrix_csv(random_corr(rng, labels), tmp_path / "labels.csv")
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "labels_from": "labels.csv"}))
+        # a pair file without a header takes the labels
+        np.savetxt(tmp_path / "a0.csv", random_corr(rng, labels).values,
+                   fmt="%.17g", delimiter=",")
+        assert CohortManifest.load(path).load_cohort().labels == labels
+        write_matrix_csv(random_corr(rng, ("a", "b", "d", "c")),
+                         tmp_path / "b1.csv")
+        with pytest.raises(DataError) as err:
+            CohortManifest.load(path).load_cohort()
+        assert str(err.value) == (
+            f"{tmp_path / 'b1.csv'}: labels from {tmp_path / 'labels.csv'}: "
+            "header has 'd' at position 2, the labels 'c'")
 
     def test_too_few_pairs(self, tmp_path):
         path = tmp_path / "cohort.json"
@@ -438,6 +457,16 @@ class TestCliCompare:
             "data error: node labels differ in order: position 0 is 'a' in A "
             "and 'b' in B\n")
 
+    def test_repeated_label_exit_2(self, tmp_path, capsys):
+        pa, pb = tmp_path / "D.csv", tmp_path / "E.csv"
+        for path in (pa, pb):
+            path.write_text("a,a,c\n1,0.2,0.9\n0.2,1,0.4\n0.9,0.4,1\n")
+        assert cli.main(["compare", str(pa), str(pb), "--localize-center",
+                         "0.2", "--localize-radius", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", f"data error: {pa}: node label 'a' repeated at positions 0 "
+                "and 1\n")
+
     def test_localize_output(self, rng, tmp_path, capsys):
         pa, pb = self.write_pair(rng, tmp_path)
         assert cli.main(["compare", str(pa), str(pb), "--mode", "one-minus",
@@ -447,19 +476,24 @@ class TestCliCompare:
         for label in ("a", "b", "c", "d", "e"):
             assert f"  {label}" in out
 
-    @pytest.mark.parametrize("radius", ["-1.0", "-1e-300", "nan", "x"])
+    @pytest.mark.parametrize("option, value", [
+        ("radius", "-1.0"), ("radius", "-1e-300"), ("radius", "nan"),
+        ("radius", "x"), ("center", "nan")],
+        ids=["-1.0", "-1e-300", "nan", "x", "center-nan"])
     def test_bad_radius_is_usage_error_before_output(self, rng, tmp_path,
-                                                     capsys, radius):
+                                                     capsys, option, value):
         pa, pb = self.write_pair(rng, tmp_path)
-        assert cli.main(["compare", str(pa), str(pb), "--localize-center",
-                         "0.5", f"--localize-radius={radius}"]) == 1
+        given = {"center": "0.5", "radius": "0.1", option: value}
+        assert cli.main(["compare", str(pa), str(pb),
+                         f"--localize-center={given['center']}",
+                         f"--localize-radius={given['radius']}"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("usage error: argument --localize-radius: ")
+        assert err.startswith(f"usage error: argument --localize-{option}: ")
         manifest = TestManifest().write_cohort(rng, tmp_path, ("x", "y", "z"))
         assert cli.main(["heritability", "--mz", str(manifest), "--dz",
                          str(manifest), "--out", str(tmp_path / "out"),
-                         f"--localize-radius={radius}"]) == 1
+                         f"--localize-{option}={value}"]) == 1
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "out").exists()
 
@@ -722,6 +756,19 @@ class TestCliDataErrors:
         path.write_text(json.dumps(doc))
         assert self.heritability(path, tmp_path) == 2
         assert f"{path}: pairs[1]" in capsys.readouterr().err
+
+    def test_labels_from_header_conflict_exit_2(self, rng, tmp_path, capsys):
+        labels_path = tmp_path / "labels.csv"
+        write_matrix_csv(random_corr(rng, ("a", "b", "c", "d")), labels_path)
+        path = TestManifest().write_cohort(rng, tmp_path, ("d", "c", "b", "a"))
+        write_matrix_csv(random_corr(rng, ("x", "y", "z", "w")),
+                         tmp_path / "b0.csv")
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "labels_from": labels_path.name}))
+        assert self.heritability(path, tmp_path) == 2
+        assert capsys.readouterr() == ("", (
+            f"data error: {tmp_path / 'a0.csv'}: labels from {labels_path}: "
+            "header has 'd' at position 0, the labels 'a'\n"))
 
     def test_labels_from_count_mismatch_exit_2(self, rng, tmp_path, capsys):
         labels_path = tmp_path / "labels.csv"

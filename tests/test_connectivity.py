@@ -21,6 +21,13 @@ class TestDataMatrix:
             conn.DataMatrix(np.ones((1, 5)))
 
 
+class TestConnectivityMatrix:
+    def test_repeated_label_names_both_positions(self):
+        with pytest.raises(ValidationError,
+                           match=r"^node label 'b' repeated at positions 1 and 3$"):
+            conn.ConnectivityMatrix(("a", "b", "c", "b"), np.eye(4))
+
+
 class TestPearson:
     def test_duplicated_column(self):
         rng = np.random.default_rng(0)

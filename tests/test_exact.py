@@ -67,9 +67,15 @@ class TestDiscrepancy:
 
     def test_identical_sequences_absorb_ties(self):
         a = np.array([1.0, 2.0, 3.0])
-        with pytest.warns(exact.TieWarning):
-            res = exact.discrepancy(a, a)
+        res = exact.discrepancy(a, a)
         assert res.d == 0
+        assert res.ties_absorbed
+
+    def test_ties_are_a_flag_not_a_warning(self):
+        a = np.array([0.0, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = exact.discrepancy(a, a)
         assert res.ties_absorbed
 
     def test_length_mismatch(self):
@@ -193,9 +199,7 @@ class TestTransformInvariance:
             b = np.sort(rng.standard_normal(q))
             base = exact.discrepancy(a, b).d
             f = maps[rng.integers(len(maps))]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", exact.TieWarning)
-                mapped = exact.discrepancy(f(a), f(b)).d
+            mapped = exact.discrepancy(f(a), f(b)).d
             assert mapped == base
 
     def test_symmetry(self):

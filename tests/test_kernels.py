@@ -75,7 +75,7 @@ def test_discrepancy_kernel_matches_reference():
         else:
             wa, wb = (np.sort(rng.standard_normal((m, q)), axis=1)
                       for _ in range(2))
-        d, at = _kernels.discrepancies(wa, wb)
+        d, at, _ = _kernels.discrepancies(wa, wb)
         assert d.dtype == np.int64
         for k in range(m):
             assert (int(d[k]), float(at[k])) == reference_gap(wa[k], wb[k])
@@ -85,7 +85,7 @@ def test_discrepancy_kernel_terminates_on_nan():
     # NaN equals nothing, not even itself, so each NaN ends its own run.
     a = np.array([[0.1, 0.5, np.nan]])
     b = np.array([[0.2, np.nan, np.nan]])
-    d, _ = _kernels.discrepancies(a, b)
+    d, _, _ = _kernels.discrepancies(a, b)
     assert 0 <= d[0] <= 3
 
 

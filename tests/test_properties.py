@@ -1,5 +1,5 @@
-"""Property tests: the exact null against its oracles, the exit codes of
-`combinf pvalue`, the production spanning tree against the reference
+"""Property tests: the exact null against its oracles, the discrepancy
+kernel's tie flag against np.isin, the exit codes of `combinf pvalue`, the production spanning tree against the reference
 Kruskal, the midranks against scipy's rankdata, the twin map against an
 edge-by-edge Spearman loop, the matrix CSV reader against float(), and the
 exit codes of `combinf compare`, `heritability` and `simulate` on malformed
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import ks_2samp, rankdata
 
-from combinf import cli, connectivity, exact, mst
+from combinf import _kernels, cli, connectivity, exact, mst
 from combinf.errors import DataError, ValidationError
 from combinf.matrixio import read_matrix_csv, write_matrix_csv
 from exact_reference import BRUTE_FORCE_MAX_Q, band_pvalue, brute_force_pvalue
@@ -50,9 +50,7 @@ def test_exact_pvalue_matches_ks_2samp(q, data):
     sample = st.lists(st.integers(0, 3 * q), min_size=q, max_size=q)
     a = sorted(data.draw(sample))
     b = sorted(data.draw(sample))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", exact.TieWarning)
-        d = exact.discrepancy(a, b).d
+    d = exact.discrepancy(a, b).d
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ks = ks_2samp(a, b, method="exact")
@@ -63,6 +61,19 @@ def test_exact_pvalue_matches_ks_2samp(q, data):
     assert d == round(ks.statistic * q)
     assert math.isclose(float(exact.exact_pvalue(q, d)), ks.pvalue,
                         rel_tol=1e-9)
+
+
+@FEW
+@given(m=st.integers(1, 4), q=st.integers(1, 8), data=st.data())
+def test_kernel_tie_flag_matches_isin(m, q, data):
+    # Halves in [-1, 1], and -0.0, which equals 0.0: rows share values often
+    # but not always.
+    row = st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
+                   min_size=q, max_size=q).map(sorted)
+    wa, wb = (np.array([data.draw(row) for _ in range(m)]) for _ in "ab")
+    _, _, tied = _kernels.discrepancies(wa, wb)
+    assert tied.dtype == bool
+    assert tied.tolist() == [bool(np.isin(a, b).any()) for a, b in zip(wa, wb)]
 
 
 @FEW

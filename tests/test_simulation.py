@@ -245,6 +245,24 @@ class TestPermutationTest:
         corrected = sim.permutation_test(a, b, 40, sim.RngStream(8, 11), add_one=True)
         assert corrected == pytest.approx((plain * 40 + 1) / 41)
 
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("mode", sim.WEIGHT_MODES)
+    def test_add_one_holds_alpha_under_an_exchangeable_null(self, mode, k):
+        # Both groups are independent draws of one model, so their 2n rows
+        # are exchangeable and (hits + 1) / (N + 1) is a valid p-value
+        # (Phipson & Smyth 2010): P(p <= alpha) <= alpha.
+        alpha, trials = 0.05, 400
+        rejected = 0
+        for t in range(trials):
+            a, b = (sim.simulate_modular_data(6, 8, k, 0.1,
+                                              sim.RngStream(61, 3 * t + s))
+                    for s in (0, 1))
+            rejected += sim.permutation_test(
+                a, b, 99, sim.RngStream(61, 3 * t + 2), add_one=True,
+                weight_mode=mode) <= alpha
+        assert rejected / trials <= alpha + 3 * math.sqrt(
+            alpha * (1 - alpha) / trials)
+
     def test_constant_column_in_a_relabeling_is_named(self):
         # Column 0 is not constant in either observed group, but the split
         # {0, 1, 5} | {2, 3, 4}, the fourth listed, makes it constant in both.
