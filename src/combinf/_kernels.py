@@ -1,18 +1,19 @@
 """Numeric kernels: one spanning-tree routine and the correlation-MST
 statistic batched over groups.
 
-``prim_sorted_keys`` (a dense Prim of p - 1 vectorised argmin steps over a
-stack of key matrices) is the package's only MST routine. Two kernels are the
-one definition of the statistic: ``sorted_mst_weights`` (data -> column
-``correlations`` -> sorted MST weights, for a stack of groups) and
-``discrepancies`` (two rows of sorted weights -> D_q, the smallest merged
-value attaining it, and whether the rows share a value, which it absorbs).
+``prim_keys`` (a dense Prim of p - 1 vectorised argmin steps over a stack of
+key matrices) is the package's only MST routine. Two kernels are the one
+definition of the statistic: ``mst_weights`` (data -> column
+``correlations`` -> MST weights, for a stack of groups) and
+``discrepancies`` (two rows of weights in any order -> D_q, the smallest
+merged value attaining it, and whether the rows share a value, which it
+absorbs); its merged argsort is the one ordering of weights.
 ``permutation_null`` chains them over chunks of relabelings (for
 ``simulation.permutation_test``, whose relabeling 0 is the observed split),
 ``simulation.observed_discrepancy`` over one pair of groups (for the exact
-trial), and ``exact.discrepancy`` calls ``discrepancies`` alone on two
-sorted weight arrays, the one place that reports ties (``ties_absorbed``);
-``mst.mst_from_connectivity`` calls ``prim_sorted_keys`` on edge ranks and
+trial), and ``exact.discrepancy`` calls ``discrepancies`` alone, the one
+place that reports ties (``ties_absorbed``); ``mst.mst_from_connectivity``
+calls ``prim_keys`` on edge ranks and
 ``connectivity.pearson_correlation_matrix`` calls ``correlations``. All
 kernels are plain numpy.
 """
@@ -29,15 +30,15 @@ from .errors import ValidationError
 _CHUNK_CELLS = 2 ** 15
 
 
-def prim_sorted_keys(w):
-    """Sorted keys of the edges a dense Prim from node 0 takes, for each
-    p x p key matrix in an (m, p, p) stack; returns an (m, p - 1) array.
+def prim_keys(w):
+    """Keys of the edges a dense Prim from node 0 takes, in the order it
+    takes them, for each p x p key matrix in an (m, p, p) stack; returns an
+    (m, p - 1) array.
 
     Only the off-diagonal keys are read, and w is overwritten. A graph whose
     keys are all distinct has exactly one MST, so with edge ranks as keys the
-    sorted result lists Kruskal's tree in insertion order; every MST has the
-    same multiset of keys, so with tied weights as keys the sorted result
-    does not depend on tie order.
+    result is Kruskal's tree; every MST has the same multiset of keys, so
+    with tied weights as keys the multiset does not depend on tie order.
     """
     m, p, _ = w.shape
     rows = np.arange(m)
@@ -51,7 +52,6 @@ def prim_sorted_keys(w):
         dist[rows, v] = np.inf
         w[rows, :, v] = np.inf
         np.minimum(dist, w[rows, v], out=dist)
-    out.sort(axis=1)
     return out
 
 
@@ -90,22 +90,23 @@ def correlations(x, describe):
                     corr.transpose(0, 2, 1))
 
 
-def sorted_mst_weights(x, one_minus,
-                       describe=lambda k, j: f"column {j} is constant in group {k}"):
-    """Sorted correlation-MST edge weights of each group in an (m, n, p)
-    stack: the ``correlations`` of each group, or 1 - correlation when
-    one_minus is set, as edge weights of a tree spanning all p nodes.
-    Returns an (m, p - 1) array. A constant column raises ValidationError
-    with ``describe(k, j)``.
+def mst_weights(x, one_minus,
+                describe=lambda k, j: f"column {j} is constant in group {k}"):
+    """Correlation-MST edge weights of each group in an (m, n, p) stack: the
+    ``correlations`` of each group, or 1 - correlation when one_minus is
+    set, as edge weights of a tree spanning all p nodes. Returns an
+    (m, p - 1) array, each row in the order Prim takes the edges. A
+    constant column raises ValidationError with ``describe(k, j)``.
     """
     corr = correlations(
         x, lambda k, j: f"{describe(k, j)}, so its correlations are undefined")
-    return prim_sorted_keys(1.0 - corr if one_minus else corr)
+    return prim_keys(1.0 - corr if one_minus else corr)
 
 
 def discrepancies(wa, wb):
     """Max step-function gap for each row pair of two (m, q) arrays of
-    sorted weights, and the smallest merged value attaining it.
+    weights, each row in any order, and the smallest merged value attaining
+    it. The gap depends only on the merged order, found by one stable sort.
 
     Returns (d, at, tied): the m gaps (int64), the values, and whether the
     rows share a value (-0.0 equals 0.0, NaN nothing). The gap is evaluated
@@ -148,7 +149,7 @@ def permutation_null(Z, perms, one_minus):
     for start in range(0, count, chunk):
         # Row 2k holds group A of relabeling start + k, row 2k + 1 group B.
         groups = perms[start:start + chunk].reshape(-1, n)
-        w = sorted_mst_weights(
+        w = mst_weights(
             Z[groups], one_minus,
             lambda k, j: (f"relabeling {start + k // 2}: column {j} is "
                           f"constant in group {'AB'[k % 2]}"))

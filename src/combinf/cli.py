@@ -64,7 +64,7 @@ def _float_option(valid, rule):
     return parse
 
 
-_center = _float_option(lambda c: c == c, "center must not be NaN")
+_center = _float_option(lambda c: abs(c) < float("inf"), "center must be finite")
 _radius = _float_option(lambda r: r >= 0, "radius must be >= 0")
 
 

@@ -50,10 +50,10 @@ class DataMatrix:
 class ConnectivityMatrix:
     """Symmetric p x p edge-weight matrix with node labels.
 
-    The only validator of connectivity matrices: square, one distinct label
-    per node, finite, and symmetric within SYMMETRY_TOL. Stores the mean of
-    the matrix and its transpose, which leaves an exactly symmetric input
-    bit for bit (barring subnormal entries).
+    The only validator of connectivity matrices: square, nonempty, one
+    distinct label per node, finite, and symmetric within SYMMETRY_TOL.
+    Stores the mean of the matrix and its transpose, which leaves an exactly
+    symmetric input bit for bit (barring subnormal entries).
     """
 
     labels: tuple[str, ...]
@@ -63,6 +63,8 @@ class ConnectivityMatrix:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError(f"connectivity matrix must be square, got {values.shape}")
+        if not values.size:
+            raise ValidationError("connectivity matrix has no nodes")
         if len(self.labels) != values.shape[0]:
             raise ValidationError(
                 f"{len(self.labels)} labels for {values.shape[0]} nodes")

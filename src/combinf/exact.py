@@ -1,8 +1,8 @@
-"""Exact inference on monotone feature sequences.
+"""Exact inference on two samples of feature values.
 
-Implements the merged-sequence discrepancy statistic of two sorted feature
-sequences and its exact null distribution by the Gnedenko-Korolyuk closed
-form.
+Implements the merged-sample discrepancy statistic of two equal-size samples,
+in any order, and its exact null distribution by the Gnedenko-Korolyuk
+closed form.
 """
 
 from __future__ import annotations
@@ -27,38 +27,31 @@ class DiscrepancyResult:
     ties_absorbed: bool = False
 
 
-def _sorted_values(values) -> np.ndarray:
-    """values as a float array, checked to be a nonempty, finite and
-    nondecreasing 1-D sequence; ties are admitted."""
+def _finite_values(values) -> np.ndarray:
+    """values as a float array, checked to be nonempty, finite and 1-D; ties
+    are admitted."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValidationError(f"values must be 1-D, got shape {v.shape}")
     if v.size == 0:
-        raise ValidationError("monotone sequence must be nonempty")
+        raise ValidationError("values must be nonempty")
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         j = bad[0]
         raise ValidationError(f"values must be finite: values[{j}]={float(v[j])!r}")
-    down = np.flatnonzero(v[1:] < v[:-1])
-    if down.size:
-        j = down[0]
-        raise ValidationError(
-            f"values must be nondecreasing: values[{j}]={float(v[j])!r} vs "
-            f"values[{j + 1}]={float(v[j + 1])!r}"
-        )
     return v
 
 
 def discrepancy(a, b) -> DiscrepancyResult:
-    """Maximum absolute gap between the step functions of two sorted 1-D
-    arrays of equal length, over all t.
+    """Maximum absolute gap between the step functions of two 1-D arrays of
+    equal length, each in any order, over all t.
 
     The sup over continuous t is attained at merged data values; elements
     equal across the two arrays are absorbed jointly, so identical arrays
     give d = 0. ties_absorbed says whether the arrays share a value: the
     exact null assumes continuous (tie-free) data.
     """
-    a, b = _sorted_values(a), _sorted_values(b)
+    a, b = _finite_values(a), _finite_values(b)
     if a.size != b.size:
         raise ValidationError(
             f"sequences must have equal length, got {a.size} and {b.size}"

@@ -12,7 +12,7 @@ from fractions import Fraction
 from ._lazy import np
 
 from . import exact
-from ._kernels import prim_sorted_keys
+from ._kernels import prim_keys
 from .connectivity import ConnectivityMatrix, _default_labels
 from .errors import ValidationError
 
@@ -60,8 +60,6 @@ def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
         values = np.asarray(conn, dtype=np.float64)
         conn = ConnectivityMatrix(_default_labels(len(values)), values)
     p = conn.p
-    if p < 2:
-        raise ValidationError(f"connectivity matrix needs p >= 2, got p={p}")
     iu, ju = np.triu_indices(p, k=1)
     s = conn.values[iu, ju]
     edge = np.arange(s.size)
@@ -78,19 +76,18 @@ def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
     rank[order] = np.arange(order.size)
     keys = np.empty((1, p, p))
     keys[0, iu, ju] = keys[0, ju, iu] = rank
-    taken = prim_sorted_keys(keys)[0]
+    taken = prim_keys(keys)[0]
     tree = order[taken[taken < E].astype(np.int64)]
-    # Kruskal's insertion order is already (weight, i, j) except in max_tree
-    # mode, which inserts by descending similarity; edge ids follow (i, j).
-    tree = tree[np.lexsort((tree, report[tree]))]
+    tree = tree[np.lexsort((tree, report[tree]))]  # by (weight, i, j)
     return SpanningForest(node_labels=conn.labels,
                           edges=np.stack([iu[tree], ju[tree]], axis=1),
                           weights=report[tree])
 
 
 def compare_msts(weights_a, weights_b) -> tuple[exact.DiscrepancyResult, Fraction]:
-    """Exact test of equality of two trees' sorted weight arrays: their
-    discrepancy and its exact p-value P(D_q >= d)."""
+    """Exact test of equality of two trees' weight arrays, of equal length
+    and in any order: their discrepancy and its exact p-value
+    P(D_q >= d)."""
     res = exact.discrepancy(weights_a, weights_b)
     return res, exact.exact_pvalue(res.q, res.d)
 
@@ -99,6 +96,8 @@ def localize_nodes(mst_a: SpanningForest, mst_b: SpanningForest,
                    center_weight: float, radius: float) -> list[str]:
     """Labels of nodes touched by edges (in either tree) whose weight lies in
     [center - radius, center + radius]; sorted and deduplicated."""
+    if not np.isfinite(center_weight):
+        raise ValidationError(f"center must be finite, got {center_weight}")
     if not radius >= 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
     lo, hi = center_weight - radius, center_weight + radius

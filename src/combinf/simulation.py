@@ -302,7 +302,7 @@ def observed_discrepancy(group_a: DataMatrix, group_b: DataMatrix,
     one_minus = _one_minus_flag(weight_mode)
 
     def weights(group, name):
-        return _kernels.sorted_mst_weights(
+        return _kernels.mst_weights(
             group.values[None], one_minus,
             lambda k, j: f"column {j} is constant in group {name}")
     d, _, _ = _kernels.discrepancies(weights(group_a, "A"), weights(group_b, "B"))

@@ -478,8 +478,10 @@ class TestCliCompare:
 
     @pytest.mark.parametrize("option, value", [
         ("radius", "-1.0"), ("radius", "-1e-300"), ("radius", "nan"),
-        ("radius", "x"), ("center", "nan")],
-        ids=["-1.0", "-1e-300", "nan", "x", "center-nan"])
+        ("radius", "x"), ("center", "nan"), ("center", "inf"),
+        ("center", "-inf")],
+        ids=["-1.0", "-1e-300", "nan", "x", "center-nan", "center-inf",
+             "center--inf"])
     def test_bad_radius_is_usage_error_before_output(self, rng, tmp_path,
                                                      capsys, option, value):
         pa, pb = self.write_pair(rng, tmp_path)
@@ -496,6 +498,14 @@ class TestCliCompare:
                          f"--localize-{option}={value}"]) == 1
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "out").exists()
+
+    def test_one_node_matrix_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("a\n1\n")
+        assert cli.main(["compare", str(path), str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            "data error: spanning forests need the same, nonzero number of "
+            "edges: one has 1 component(s), one has 1 component(s)\n"))
 
     def test_radius_without_center_is_usage_error_before_output(
             self, rng, tmp_path, capsys):
@@ -524,6 +534,23 @@ class TestCliHeritability:
         hi = read_matrix_csv(out_dir / "HI.csv")
         assert np.all(hi.values == 0.0)
         assert (out_dir / "C_MZ.csv").exists() and (out_dir / "C_DZ.csv").exists()
+
+    def test_one_node_cohorts_exit_2(self, tmp_path, capsys):
+        entries = []
+        for k in range(3):
+            for side in "ab":
+                write_matrix_csv(ConnectivityMatrix(("x",), np.ones((1, 1))),
+                                 tmp_path / f"{side}{k}.csv")
+            entries.append({"a": f"a{k}.csv", "b": f"b{k}.csv"})
+        manifest = tmp_path / "cohort.json"
+        manifest.write_text(json.dumps({"pairs": entries}))
+        assert cli.main(["heritability", "--mz", str(manifest), "--dz",
+                         str(manifest), "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("wrote C_MZ.csv, C_DZ.csv, HI.csv")
+        assert err == ("data error: spanning forests need the same, nonzero "
+                       "number of edges: MZ has 1 component(s), DZ has 1 "
+                       "component(s)\n")
 
     def test_cohort_label_mismatch_exit_2(self, rng, tmp_path, capsys):
         helper = TestManifest()

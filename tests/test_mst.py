@@ -170,6 +170,17 @@ class TestFromConnectivity:
         with pytest.raises(ValidationError):
             mst.mst_from_connectivity(values, "distance")
 
+    @pytest.mark.parametrize("mode", list(mst.WeightMode))
+    def test_one_node_is_a_forest_without_edges(self, mode):
+        forest = mst.mst_from_connectivity(np.ones((1, 1)), mode)
+        assert forest.edges.shape == (0, 2)
+        assert forest.weights.shape == (0,)
+        assert forest.component_count == 1
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ValidationError, match="no nodes"):
+            mst.mst_from_connectivity(np.zeros((0, 0)))
+
 
 class TestCompare:
     def test_identical(self):
@@ -250,6 +261,12 @@ class TestLocalize:
         for radius in (-0.1, float("nan")):
             with pytest.raises(ValidationError, match="radius must be >= 0"):
                 mst.localize_nodes(fa, fb, 0.5, radius)
+
+    def test_non_finite_center_rejected(self):
+        fa, fb = self._forests()
+        for center in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValidationError, match="center must be finite"):
+                mst.localize_nodes(fa, fb, center, 1.0)
 
 
 class TestGrowthCurve:

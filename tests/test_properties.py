@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from scipy.stats import ks_2samp, rankdata
+from scipy.stats import ks_2samp, rankdata, spearmanr
 
 from combinf import _kernels, cli, connectivity, exact, mst
 from combinf.errors import DataError, ValidationError
@@ -63,17 +63,47 @@ def test_exact_pvalue_matches_ks_2samp(q, data):
                         rel_tol=1e-9)
 
 
+# Halves in [-1, 1], and -0.0, which equals 0.0: ties within and across
+# samples, and equal values of either sign.
+_TIED_VALUES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
 @FEW
 @given(m=st.integers(1, 4), q=st.integers(1, 8), data=st.data())
 def test_kernel_tie_flag_matches_isin(m, q, data):
-    # Halves in [-1, 1], and -0.0, which equals 0.0: rows share values often
-    # but not always.
-    row = st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
-                   min_size=q, max_size=q).map(sorted)
+    row = st.lists(_TIED_VALUES, min_size=q, max_size=q).map(sorted)
     wa, wb = (np.array([data.draw(row) for _ in range(m)]) for _ in "ab")
     _, _, tied = _kernels.discrepancies(wa, wb)
     assert tied.dtype == bool
     assert tied.tolist() == [bool(np.isin(a, b).any()) for a, b in zip(wa, wb)]
+
+
+@FEW
+@given(q=st.integers(1, 10), data=st.data())
+def test_discrepancy_does_not_depend_on_input_order(q, data):
+    sample = st.lists(_TIED_VALUES, min_size=q, max_size=q)
+    a, b = data.draw(sample), data.draw(sample)
+    want = exact.discrepancy(sorted(a), sorted(b))
+    got = exact.discrepancy(data.draw(st.permutations(a)),
+                            data.draw(st.permutations(b)))
+    assert (got.d, got.q, got.ties_absorbed) == (want.d, want.q,
+                                                 want.ties_absorbed)
+    assert got.argmax_location == want.argmax_location
+
+
+@FEW
+@given(m=st.integers(1, 4), q=st.integers(1, 8), data=st.data())
+def test_kernel_discrepancies_do_not_depend_on_row_order(m, q, data):
+    row = st.lists(_TIED_VALUES, min_size=q, max_size=q)
+    wa, wb = (np.array([data.draw(row) for _ in range(m)]) for _ in "ab")
+    d, at, tied = _kernels.discrepancies(np.sort(wa, axis=1),
+                                         np.sort(wb, axis=1))
+    shuffled = [np.array([data.draw(st.permutations(r)) for r in w])
+                for w in (wa, wb)]
+    got_d, got_at, got_tied = _kernels.discrepancies(*shuffled)
+    assert got_d.tolist() == d.tolist()
+    assert got_at.tolist() == at.tolist()
+    assert got_tied.tolist() == tied.tolist()
 
 
 @FEW
@@ -144,12 +174,10 @@ def _edge_loop_twin_map(cohort, symmetrize):
     return out, messages
 
 
-@FEW
-@given(m=st.integers(3, 8), p=st.integers(2, 6), symmetrize=st.booleans(),
-       data=st.data())
-def test_twin_map_matches_edge_loop(m, p, symmetrize, data):
-    # Values on a grid of quarters tie often; some edges are made constant
-    # on one or both sides.
+def _quarter_grid_cohort(m, p, data):
+    """A cohort of m twin pairs of p x p matrices whose edge values lie on a
+    grid of quarters, so they tie often; some edges are made constant on one
+    or both sides."""
     edges = p * (p - 1) // 2
     grid = st.lists(st.integers(-4, 4), min_size=m * edges, max_size=m * edges)
     sides = [np.array(data.draw(grid), dtype=float).reshape(m, edges) / 4
@@ -168,8 +196,15 @@ def test_twin_map_matches_edge_loop(m, p, symmetrize, data):
         values[iu] = values.T[iu] = upper
         return connectivity.ConnectivityMatrix(labels, values)
 
-    cohort = connectivity.TwinCohort(tuple(
+    return connectivity.TwinCohort(tuple(
         (matrix(sides[0][k]), matrix(sides[1][k])) for k in range(m)))
+
+
+@FEW
+@given(m=st.integers(3, 8), p=st.integers(2, 6), symmetrize=st.booleans(),
+       data=st.data())
+def test_twin_map_matches_edge_loop(m, p, symmetrize, data):
+    cohort = _quarter_grid_cohort(m, p, data)
     want, want_messages = _edge_loop_twin_map(cohort, symmetrize)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -177,6 +212,26 @@ def test_twin_map_matches_edge_loop(m, p, symmetrize, data):
     assert got.values.tobytes() == want.tobytes()
     assert [str(w.message) for w in caught] == want_messages
     assert all(w.category is connectivity.DegenerateEdgeWarning for w in caught)
+
+
+@FEW
+@given(m=st.integers(3, 8), p=st.integers(2, 6), symmetrize=st.booleans(),
+       data=st.data())
+def test_twin_map_matches_scipy_spearmanr(m, p, symmetrize, data):
+    # scipy's midrank Spearman shares no code with the twin map.
+    cohort = _quarter_grid_cohort(m, p, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", connectivity.DegenerateEdgeWarning)
+        got = connectivity.twin_edgewise_correlation(cohort, symmetrize).values
+    for i, j in zip(*np.triu_indices(p, k=1)):
+        a = np.array([ma.values[i, j] for ma, _ in cohort.pairs])
+        b = np.array([mb.values[i, j] for _, mb in cohort.pairs])
+        if symmetrize:
+            a, b = np.concatenate([a, b]), np.concatenate([b, a])
+        if np.ptp(a) == 0 or np.ptp(b) == 0:
+            assert got[i, j] == 0.0
+        else:
+            assert abs(got[i, j] - spearmanr(a, b).statistic) <= 1e-12
 
 
 _FLOAT_TOKENS = st.one_of(
