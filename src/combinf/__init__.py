@@ -6,6 +6,7 @@ from .connectivity import (
     ConnectivityMatrix,
     DataMatrix,
     TwinCohort,
+    TwinMap,
     heritability_index,
     pearson_correlation_matrix,
     spearman_correlation,
@@ -37,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConnectivityMatrix", "DataError", "DataMatrix", "DiscrepancyResult",
     "ExperimentReport", "RngStream", "SimulationConfig", "SpanningForest",
-    "TwinCohort", "ValidationError", "WeightMode", "compare_msts",
+    "TwinCohort", "TwinMap", "ValidationError", "WeightMode", "compare_msts",
     "discrepancy", "exact_pvalue", "growth_curve", "heritability_index",
     "kernel_backend", "localize_nodes", "mst_from_connectivity",
     "pearson_correlation_matrix", "permutation_test",

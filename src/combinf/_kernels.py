@@ -2,14 +2,15 @@
 statistic batched over groups.
 
 ``prim_keys`` (a dense Prim of p - 1 vectorised argmin steps over a stack of
-key matrices) is the package's only MST routine. Two kernels are the one
+key matrices, which it only reads) is the package's only MST routine. Two kernels are the one
 definition of the statistic: ``mst_weights`` (data -> column
 ``correlations`` -> MST weights, for a stack of groups) and
 ``discrepancies`` (two rows of weights in any order -> D_q, the smallest
 merged value attaining it, and whether the rows share a value, which it
 absorbs); its merged argsort is the one ordering of weights.
-``permutation_null`` chains them over chunks of relabelings (for
-``simulation.permutation_test``, whose relabeling 0 is the observed split),
+``permutation_null`` chains them over chunks of relabelings, all in two
+buffers it allocates once (for ``simulation.permutation_test``, whose
+relabeling 0 is the observed split),
 ``simulation.observed_discrepancy`` over one pair of groups (for the exact
 trial), and ``exact.discrepancy`` calls ``discrepancies`` alone, the one
 place that reports ties (``ties_absorbed``); ``mst.mst_from_connectivity``
@@ -24,10 +25,16 @@ from ._lazy import np
 
 from .errors import ValidationError
 
-# Matrix cells per (2 x relabelings, p, p) array in one chunk of the null:
-# large enough to amortise numpy's per-call cost, small enough that the
-# temporaries stay in cache and peak memory does not grow with the count.
-_CHUNK_CELLS = 2 ** 15
+# Cells in each of the two (2 x chunk, p, p) float64 buffers that one chunk
+# of the null runs in: chunk = max(1, _CHUNK_CELLS // (2 p^2)) relabelings,
+# 40 at p = 40, 4 at p = 116 and 1 from p = 256 on. The buffers are
+# allocated once per call, at most 1 MiB each up to p = 256 and 2 p^2 cells
+# above, so memory does not grow with the count. Measured per relabeling (n = 20, p = 116, 2-CPU
+# machine, numpy 2.4.6, medians of 7): 2**15 cells 1.58 ms, 2**16 0.90,
+# 2**17 0.62, 2**18 0.44, 2**19 0.37. Larger chunks gain less and less while
+# the buffers grow with them; a process that runs 20 relabelings at p = 400
+# peaks at 41 MiB.
+_CHUNK_CELLS = 2 ** 17
 
 
 def prim_keys(w):
@@ -35,38 +42,45 @@ def prim_keys(w):
     takes them, for each p x p key matrix in an (m, p, p) stack; returns an
     (m, p - 1) array.
 
-    Only the off-diagonal keys are read, and w is overwritten. A graph whose
-    keys are all distinct has exactly one MST, so with edge ranks as keys the
-    result is Kruskal's tree; every MST has the same multiset of keys, so
-    with tied weights as keys the multiset does not depend on tie order.
+    w is read, never written. Its keys, the diagonal included, must be
+    finite (the diagonal is read but never taken), so the result is finite.
+    A graph whose keys are all distinct has exactly one MST, so with edge
+    ranks as keys the result is Kruskal's tree; every MST has the same
+    multiset of keys, so with tied weights as keys the multiset does not
+    depend on tie order.
     """
     m, p, _ = w.shape
     rows = np.arange(m)
-    dist = w[:, 0].copy()
-    dist[:, 0] = np.inf
-    w[:, :, 0] = np.inf
+    # -inf for a node not yet taken, +inf once taken: the maximum with it
+    # keeps a taken node's distance at +inf, so it is never taken again.
+    floor = np.full((m, p), -np.inf)
+    floor[:, 0] = np.inf
+    dist = np.maximum(w[:, 0], floor)
     out = np.empty((m, p - 1))
     for step in range(p - 1):
         v = dist.argmin(axis=1)
         out[:, step] = dist[rows, v]
-        dist[rows, v] = np.inf
-        w[rows, :, v] = np.inf
+        floor[rows, v] = np.inf
         np.minimum(dist, w[rows, v], out=dist)
+        np.maximum(dist, floor, out=dist)
     return out
 
 
-def correlations(x, describe):
+def correlations(x, describe, out=None, work=None):
     """Column Pearson correlations of each group in an (m, n, p) stack of m
     groups of n observations of p nodes; returns (m, p, p), exactly
-    symmetric, with the diagonal as computed. The data are made C-ordered
-    and the column means summed row by row, and every Gram matrix is its own
-    product, so each correlation is the same double whatever the memory
-    layout of x and as for that group alone. Each column is first scaled by
-    the power of two that brings its largest magnitude into [0.5, 1): the
-    scaling is exact, so the correlations keep their bits short of subnormal
-    underflow, and no product overflows whatever the data's scale. A column
-    that is constant within a group raises ValidationError with
-    ``describe(k, j)`` for the first such column j, in group k.
+    symmetric, with the diagonal as computed. out and work are C-ordered
+    (m, p, p) float64 buffers, each allocated when not given: the result is
+    written into out, work is scratch, and the bits do not depend on what
+    they held. The data are made C-ordered and the column means summed row by row, and
+    every Gram matrix is its own product, so each correlation is the same
+    double whatever the memory layout of x and as for that group alone.
+    Each column is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1): the scaling is exact, so the correlations keep
+    their bits short of subnormal underflow, and no product overflows
+    whatever the data's scale. A column that is constant within a group
+    raises ValidationError with ``describe(k, j)`` for the first such
+    column j, in group k.
     """
     x = np.ascontiguousarray(x)
     hi, lo = x.max(axis=1), x.min(axis=1)
@@ -75,32 +89,45 @@ def correlations(x, describe):
         k, j = np.argwhere(const)[0]
         raise ValidationError(describe(k, j))
     # ldexp, not x * 2.0**-e: 2.0**-e overflows for subnormal columns
-    x = np.ldexp(x, -np.frexp(np.maximum(hi, -lo))[1][:, None, :])
-    m, n, p = x.shape
+    a = np.ldexp(x, -np.frexp(np.maximum(hi, -lo))[1][:, None, :])
+    m, n, p = a.shape
     mean = np.zeros((m, p))
     for r in range(n):
-        mean += x[:, r]
+        mean += a[:, r]
     mean /= n
-    a = x - mean[:, None, :]
-    gram = np.matmul(np.ascontiguousarray(a.transpose(0, 2, 1)), a)
-    diag = np.diagonal(gram, axis1=1, axis2=2)
-    corr = gram / np.sqrt(diag[:, :, None] * diag[:, None, :])
+    a -= mean[:, None, :]
+    if out is None:
+        out = np.empty((m, p, p))
+    if work is None:
+        work = np.empty((m, p, p))
+    np.matmul(np.ascontiguousarray(a.transpose(0, 2, 1)), a, out=out)
+    diag = np.diagonal(out, axis1=1, axis2=2).copy()
     # Mirror the upper triangle: the product need not be exactly symmetric.
-    return np.where(np.triu(np.ones((p, p), dtype=bool), 1), corr,
-                    corr.transpose(0, 2, 1))
+    # The divisor diag_i * diag_j is, so the quotient is mirrored with it.
+    np.copyto(work, out.transpose(0, 2, 1))
+    np.copyto(out, work, where=np.tri(p, k=-1, dtype=bool))
+    np.multiply(diag[:, :, None], diag[:, None, :], out=work)
+    np.sqrt(work, out=work)
+    np.divide(out, work, out=out)
+    return out
 
 
 def mst_weights(x, one_minus,
-                describe=lambda k, j: f"column {j} is constant in group {k}"):
+                describe=lambda k, j: f"column {j} is constant in group {k}",
+                out=None, work=None):
     """Correlation-MST edge weights of each group in an (m, n, p) stack: the
     ``correlations`` of each group, or 1 - correlation when one_minus is
     set, as edge weights of a tree spanning all p nodes. Returns an
-    (m, p - 1) array, each row in the order Prim takes the edges. A
-    constant column raises ValidationError with ``describe(k, j)``.
+    (m, p - 1) array, each row in the order Prim takes the edges. out and
+    work are the (m, p, p) buffers of ``correlations``. A constant column
+    raises ValidationError with ``describe(k, j)``.
     """
-    corr = correlations(
-        x, lambda k, j: f"{describe(k, j)}, so its correlations are undefined")
-    return prim_keys(1.0 - corr if one_minus else corr)
+    w = correlations(
+        x, lambda k, j: f"{describe(k, j)}, so its correlations are undefined",
+        out, work)
+    if one_minus:
+        np.subtract(1.0, w, out=w)
+    return prim_keys(w)
 
 
 def discrepancies(wa, wb):
@@ -137,22 +164,25 @@ def permutation_null(Z, perms, one_minus):
     Z is the pooled (2n x p) data matrix; each row of perms is a permutation
     of 0..2n-1 whose first n entries form group A. Returns an int64 array of
     the max step-function gap for each relabeling. Relabelings are processed
-    in chunks of about ``_CHUNK_CELLS`` matrix cells. A column that is
-    constant within a group has no correlation: that raises ValidationError
-    naming the relabeling, the group and the column.
+    in chunks, each in the same two buffers of about ``_CHUNK_CELLS`` matrix
+    cells. A column that is constant within a group has no correlation: that
+    raises ValidationError naming the relabeling, the group and the column.
     """
     count, n2 = perms.shape
     n = n2 // 2
     p = Z.shape[1]
-    chunk = max(1, _CHUNK_CELLS // (2 * p * p))
+    chunk = max(1, min(count, _CHUNK_CELLS // (2 * p * p)))
+    corr, work = np.empty((2, 2 * chunk, p, p))
     out = np.empty(count, dtype=np.int64)
     for start in range(0, count, chunk):
         # Row 2k holds group A of relabeling start + k, row 2k + 1 group B.
         groups = perms[start:start + chunk].reshape(-1, n)
+        m = len(groups)
         w = mst_weights(
             Z[groups], one_minus,
             lambda k, j: (f"relabeling {start + k // 2}: column {j} is "
-                          f"constant in group {'AB'[k % 2]}"))
+                          f"constant in group {'AB'[k % 2]}"),
+            corr[:m], work[:m])
         out[start:start + chunk] = discrepancies(w[0::2], w[1::2])[0]
     return out
 

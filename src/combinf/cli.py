@@ -10,14 +10,12 @@ import csv
 import json
 import os
 import sys
-import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 from . import exact, mst, simulation, svgplot
-from .connectivity import (DegenerateEdgeWarning, heritability_index,
-                           twin_edgewise_correlation)
+from .connectivity import heritability_index, twin_edgewise_correlation
 from .errors import DataError, ValidationError
 from .matrixio import CohortManifest, read_matrix_csv, write_matrix_csv
 
@@ -80,8 +78,9 @@ def _write_step_csv(path, curve_a, curve_b, label_a, label_b) -> None:
         raise DataError(f"cannot write {path}: {err}") from err
 
 
-def _compare_report(ma, mb, mode, name_a, name_b, localize_center=None,
-                    localize_radius=None, svg=None, csv_out=None) -> int:
+def _forests(ma, mb, mode, name_a, name_b):
+    """The spanning forests of two matrices, which must have the same,
+    nonzero number of edges to be compared."""
     forest_a = mst.mst_from_connectivity(ma, mode)
     forest_b = mst.mst_from_connectivity(mb, mode)
     # distance mode leaves out zero entries, so a graph can be disconnected
@@ -91,6 +90,11 @@ def _compare_report(ma, mb, mode, name_a, name_b, localize_center=None,
             "spanning forests need the same, nonzero number of edges: "
             f"{name_a} has {forest_a.component_count} component(s), "
             f"{name_b} has {forest_b.component_count} component(s)")
+    return forest_a, forest_b
+
+
+def _compare_report(forest_a, forest_b, name_a, name_b, localize_center=None,
+                    localize_radius=None, svg=None, csv_out=None) -> int:
     weights_a, weights_b = forest_a.weights, forest_b.weights
     res, pv = mst.compare_msts(weights_a, weights_b)
     print(f"q = {res.q}")
@@ -138,10 +142,10 @@ def cmd_compare(args) -> int:
                 f"{ma.labels[i]!r} in A and {mb.labels[i]!r} in B")
         raise DataError(
             f"node labels differ (only in A: {only_a[:5]}, only in B: {only_b[:5]})")
+    name_a, name_b = _file_label(args.matrix_a), _file_label(args.matrix_b)
     return _compare_report(
-        ma, mb, _MODE_MAP[args.mode],
-        _file_label(args.matrix_a), _file_label(args.matrix_b),
-        localize_center=args.localize_center,
+        *_forests(ma, mb, _MODE_MAP[args.mode], name_a, name_b),
+        name_a, name_b, localize_center=args.localize_center,
         localize_radius=args.localize_radius,
         svg=args.svg, csv_out=args.csv)
 
@@ -157,14 +161,12 @@ def _output_dir(path) -> Path:
 
 def _twin_map(manifest, symmetrize):
     """One cohort's twin map, loaded and correlated alone; each degenerate
-    edge is reported on one stderr line, without the library warning's
-    source line."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegenerateEdgeWarning)
-        c = twin_edgewise_correlation(
-            CohortManifest.load(manifest).load_cohort(), symmetrize=symmetrize)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    edge is reported on one stderr line."""
+    c, degenerate = twin_edgewise_correlation(
+        CohortManifest.load(manifest).load_cohort(), symmetrize=symmetrize)
+    for a, b in degenerate:
+        print(f"warning: edge ({a}, {b}) is constant across pairs; "
+              "correlation set to 0", file=sys.stderr)
     return c
 
 
@@ -174,13 +176,16 @@ def cmd_heritability(args) -> int:
     if c_mz.labels != c_dz.labels:
         raise DataError("MZ and DZ cohorts have different node labels")
     hi = heritability_index(c_mz, c_dz)
+    # Both trees are checked before anything is written, so a data error
+    # leaves no output.
+    forests = _forests(c_mz, c_dz, mst.WeightMode.ONE_MINUS_SIMILARITY,
+                       "MZ", "DZ")
     out = _output_dir(args.out)
     write_matrix_csv(c_mz, out / "C_MZ.csv")
     write_matrix_csv(c_dz, out / "C_DZ.csv")
     write_matrix_csv(hi, out / "HI.csv")
     print(f"wrote C_MZ.csv, C_DZ.csv, HI.csv to {out}")
-    return _compare_report(c_mz, c_dz, mst.WeightMode.ONE_MINUS_SIMILARITY,
-                           "MZ", "DZ",
+    return _compare_report(*forests, "MZ", "DZ",
                            localize_center=args.localize_center,
                            localize_radius=args.localize_radius)
 

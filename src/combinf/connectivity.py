@@ -3,8 +3,8 @@ the Falconer heritability index."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._lazy import np
 
@@ -13,11 +13,6 @@ from .errors import ValidationError
 
 # Largest |a_ij - a_ji| of a symmetric connectivity matrix or matrix CSV.
 SYMMETRY_TOL = 1e-9
-
-
-class DegenerateEdgeWarning(UserWarning):
-    """An edge's values are constant across twin pairs; its correlation is
-    undefined and is reported as 0."""
 
 
 @dataclass(frozen=True)
@@ -180,11 +175,25 @@ def spearman_correlation(a, b) -> float:
     return float(_midrank_pearson(a[:, None], b[:, None])[0])
 
 
+class TwinMap(NamedTuple):
+    """A cohort's edgewise twin correlations, and its degenerate edges: those
+    constant across pairs on either side, whose correlation is undefined and
+    reported as 0, as (label, label) pairs in (i, j) order."""
+
+    correlation: ConnectivityMatrix
+    degenerate_edges: tuple[tuple[str, str], ...]
+
+    @property
+    def p(self) -> int:
+        return self.correlation.p
+
+
 def twin_edgewise_correlation(cohort: TwinCohort,
-                              symmetrize: bool = False) -> ConnectivityMatrix:
+                              symmetrize: bool = False) -> TwinMap:
     """Spearman correlation, per edge, between twin-A and twin-B edge values
-    across pairs. Diagonal is 1; constant (degenerate) edges are reported as
-    0 with a warning. ``symmetrize`` pools both within-pair orderings."""
+    across pairs, with diagonal 1, and the degenerate (constant) edges,
+    whose correlation is 0. ``symmetrize`` pools both within-pair
+    orderings."""
     iu = np.triu_indices(cohort.p, k=1)
     a = np.array([ma.values[iu] for ma, _ in cohort.pairs])
     b = np.array([mb.values[iu] for _, mb in cohort.pairs])
@@ -192,16 +201,15 @@ def twin_edgewise_correlation(cohort: TwinCohort,
         a, b = np.concatenate([a, b]), np.concatenate([b, a])
     constant = ((a.max(axis=0) == a.min(axis=0))
                 | (b.max(axis=0) == b.min(axis=0)))
-    for e in np.flatnonzero(constant):
-        warnings.warn(
-            f"edge ({cohort.labels[iu[0][e]]}, {cohort.labels[iu[1][e]]}) is "
-            "constant across pairs; correlation set to 0",
-            DegenerateEdgeWarning, stacklevel=2)
     with np.errstate(invalid="ignore"):  # 0/0 on the constant edges
         r = np.where(constant, 0.0, _midrank_pearson(a, b))
     out = np.eye(cohort.p)
     out[iu] = out.T[iu] = r
-    return ConnectivityMatrix(labels=cohort.labels, values=out)
+    labels = cohort.labels
+    return TwinMap(
+        ConnectivityMatrix(labels=labels, values=out),
+        tuple((labels[iu[0][e]], labels[iu[1][e]])
+              for e in np.flatnonzero(constant)))
 
 
 def heritability_index(c_mz: ConnectivityMatrix,

@@ -1,7 +1,11 @@
-"""Minimum (and maximum) spanning trees from connectivity matrices, built by
-the null's dense Prim keyed by Kruskal's edge order and held as edge and
-weight arrays sorted by weight, plus comparison of two trees' weight arrays
-through the exact discrepancy test."""
+"""Minimum (and maximum) spanning trees from connectivity matrices, plus
+comparison of two trees' weight arrays through the exact discrepancy test.
+
+A tree is built by the permutation null's dense Prim (``prim_keys``), which
+reads a key matrix and leaves it as it is, keyed by Kruskal's edge order:
+each edge's rank in a stable sort of the weights, so the tree is Kruskal's
+with ties broken by (i, j). It is held as edge and weight arrays sorted by
+weight."""
 
 from __future__ import annotations
 
@@ -74,7 +78,7 @@ def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
     E = s.size
     rank = np.full(E, float(E))
     rank[order] = np.arange(order.size)
-    keys = np.empty((1, p, p))
+    keys = np.zeros((1, p, p))  # prim_keys reads the diagonal too
     keys[0, iu, ju] = keys[0, ju, iu] = rank
     taken = prim_keys(keys)[0]
     tree = order[taken[taken < E].astype(np.int64)]

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 from scipy.stats import ks_2samp
 
 import combinf as c
@@ -18,6 +19,8 @@ from combinf import cli, mst
 from exact_reference import (band_pvalue, brute_force_pvalue, count_band_paths,
                              term_sum_pvalue)
 from kruskal_reference import WeightedGraph, in_weight_order, kruskal_mst
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def report(name, ok, detail=""):
@@ -164,6 +167,20 @@ def test_criterion_6_table1_qualitative_and_criterion_8_determinism(tmp_path):
 
     identical = (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     report("criterion 8: byte-identical reports for identical configs", identical)
+
+
+@pytest.mark.parametrize("mode", ["correlation", "one_minus"])
+def test_criterion_8_report_matches_committed_bytes(mode, tmp_path):
+    # Reports committed with their configs under tests/golden: criterion 8
+    # across versions of the code, not only across runs of one version.
+    # Each config lists every split (permute_100%) and draws 5 %, at p = 40.
+    config = os.path.join(GOLDEN, f"simulate_{mode}.json")
+    assert cli.main(["simulate", "--config", config,
+                     "--out", str(tmp_path)]) == 0
+    with open(os.path.join(GOLDEN, f"simulate_{mode}.report.json"), "rb") as fh:
+        want = fh.read()
+    same = (tmp_path / "report.json").read_bytes() == want
+    report(f"criterion 8: {mode} report matches the committed bytes", same)
 
 
 def test_criterion_7_sigma_zero_degeneracy():

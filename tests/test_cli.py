@@ -547,7 +547,9 @@ class TestCliHeritability:
         assert cli.main(["heritability", "--mz", str(manifest), "--dz",
                          str(manifest), "--out", str(tmp_path / "out")]) == 2
         out, err = capsys.readouterr()
-        assert out.startswith("wrote C_MZ.csv, C_DZ.csv, HI.csv")
+        # Both trees are checked before any output is written.
+        assert out == ""
+        assert not (tmp_path / "out").exists()
         assert err == ("data error: spanning forests need the same, nonzero "
                        "number of edges: MZ has 1 component(s), DZ has 1 "
                        "component(s)\n")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,17 +122,18 @@ class TestTwinEdgewise:
 
     def test_mirrored_twins_give_one(self):
         cohort = self._cohort(np.random.default_rng(20), mirror=True)
-        cm = conn.twin_edgewise_correlation(cohort)
+        cm, degenerate = conn.twin_edgewise_correlation(cohort)
         iu = np.triu_indices(cohort.p, k=1)
         assert np.allclose(cm.values[iu], 1.0)
+        assert degenerate == ()
 
     def test_independent_twins_center_near_zero(self):
         cohort = self._cohort(np.random.default_rng(21), m=40)
-        cm = conn.twin_edgewise_correlation(cohort)
+        cm = conn.twin_edgewise_correlation(cohort).correlation
         iu = np.triu_indices(cohort.p, k=1)
         assert abs(cm.values[iu].mean()) < 0.3
 
-    def test_degenerate_edge_warns_and_zeroes(self):
+    def test_degenerate_edge_reported_and_zeroed(self):
         labels = ("a", "b", "c")
         pairs = []
         rng = np.random.default_rng(22)
@@ -142,9 +145,12 @@ class TestTwinEdgewise:
             vb = va.copy()
             pairs.append((conn.ConnectivityMatrix(labels, va),
                           conn.ConnectivityMatrix(labels, vb)))
-        with pytest.warns(conn.DegenerateEdgeWarning):
-            cm = conn.twin_edgewise_correlation(conn.TwinCohort(tuple(pairs)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cm, degenerate = conn.twin_edgewise_correlation(
+                conn.TwinCohort(tuple(pairs)))
         assert cm.values[0, 1] == 0.0
+        assert degenerate == (("a", "b"),)
 
     def test_cohort_needs_three_pairs(self):
         rng = np.random.default_rng(23)
@@ -156,8 +162,8 @@ class TestTwinEdgewise:
     def test_full_swap_symmetry(self):
         cohort = self._cohort(np.random.default_rng(24))
         swapped = conn.TwinCohort(tuple((b, a) for a, b in cohort.pairs))
-        c1 = conn.twin_edgewise_correlation(cohort)
-        c2 = conn.twin_edgewise_correlation(swapped)
+        c1, _ = conn.twin_edgewise_correlation(cohort)
+        c2, _ = conn.twin_edgewise_correlation(swapped)
         assert np.allclose(c1.values, c2.values, atol=1e-14)
 
     def test_symmetrize_invariant_under_single_pair_swap(self):
@@ -165,8 +171,8 @@ class TestTwinEdgewise:
         pairs = list(cohort.pairs)
         pairs[1] = (pairs[1][1], pairs[1][0])
         flipped = conn.TwinCohort(tuple(pairs))
-        c1 = conn.twin_edgewise_correlation(cohort, symmetrize=True)
-        c2 = conn.twin_edgewise_correlation(flipped, symmetrize=True)
+        c1, _ = conn.twin_edgewise_correlation(cohort, symmetrize=True)
+        c2, _ = conn.twin_edgewise_correlation(flipped, symmetrize=True)
         assert np.allclose(c1.values, c2.values, atol=1e-12)
 
 

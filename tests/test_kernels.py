@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from combinf import _kernels
+from combinf.errors import ValidationError
 from combinf.simulation import RngStream, simulate_modular_pair
 from kruskal_reference import WeightedGraph, kruskal_mst
 
@@ -53,15 +54,75 @@ def test_permutation_null_matches_per_relabeling_reference(sigma, one_minus,
     rng = np.random.default_rng(32)
     perms = np.array([rng.permutation(2 * n) for _ in range(23)])
     expected = reference_null(pooled, perms, one_minus)
-    # The null is bit-identical for one relabeling a chunk, the default
-    # chunk (10 relabelings at p = 40: more than two chunks, the last one
-    # partial) and the whole batch in one chunk; and for a lone relabeling.
-    for cells in (2 * p * p, _kernels._CHUNK_CELLS, len(perms) * 2 * p * p):
+    # The default chunk holds all 23 relabelings at p = 40.
+    assert _kernels._CHUNK_CELLS // (2 * p * p) >= len(perms)
+    # The null is bit-identical for one relabeling a chunk, five a chunk
+    # (five chunks in the same two buffers, the last one partial) and the
+    # default chunk; and for a lone relabeling.
+    for cells in (2 * p * p, 5 * 2 * p * p, _kernels._CHUNK_CELLS):
         monkeypatch.setattr(_kernels, "_CHUNK_CELLS", cells)
         for count in (len(perms), 1):
             got = _kernels.permutation_null(pooled, perms[:count], one_minus)
             assert got.dtype == np.int64
             assert np.array_equal(got, expected[:count]), (cells, count)
+
+
+@pytest.mark.parametrize("group", ["A", "B"])
+def test_constant_column_in_a_later_chunk_names_its_relabeling(group,
+                                                               monkeypatch):
+    # Column 3 is constant on rows 0..n-1 only, so the one relabeling whose
+    # group A (or B) is exactly those rows, number 17, fails; at five a
+    # chunk it is in the fourth chunk, after three chunks have run.
+    n, p = 6, 12
+    a, b = simulate_modular_pair(n, p, 3, 6, 0.1, RngStream(33, 0))
+    pooled = np.vstack([a.values, b.values])
+    pooled[:n, 3] = 0.5
+    rng = np.random.default_rng(34)
+    perms = np.array([rng.permutation(2 * n) for _ in range(23)])
+    split = np.arange(2 * n)
+    perms[17] = split if group == "A" else np.roll(split, n)
+    assert _kernels.permutation_null(pooled, perms[:17], True).shape == (17,)
+    for cells in (5 * 2 * p * p, _kernels._CHUNK_CELLS):
+        monkeypatch.setattr(_kernels, "_CHUNK_CELLS", cells)
+        with pytest.raises(ValidationError) as err:
+            _kernels.permutation_null(pooled, perms, True)
+        assert str(err.value) == (
+            f"relabeling 17: column 3 is constant in group {group}, so its "
+            "correlations are undefined")
+
+
+def test_prim_keys_leaves_its_input_unchanged():
+    rng = np.random.default_rng(36)
+    for _ in range(20):
+        m, p = int(rng.integers(1, 5)), int(rng.integers(1, 30))
+        w = rng.standard_normal((m, p, p))
+        w = w + w.transpose(0, 2, 1)
+        if p > 3:
+            w[:, 1, 2] = w[:, 2, 1] = w[:, 0, 3]  # a tie
+        before = w.copy()
+        keys = _kernels.prim_keys(w)
+        assert keys.shape == (m, p - 1)
+        assert np.isfinite(keys).all()
+        assert w.tobytes() == before.tobytes()
+
+
+def test_correlations_into_buffers_match_a_fresh_call():
+    rng = np.random.default_rng(35)
+
+    def describe(k, j):
+        return f"column {j} in group {k}"
+    buffers = np.full((2, 12, 50, 50), np.nan)
+    for _ in range(20):
+        m, n, p = (int(k) for k in rng.integers((1, 3, 2), (13, 20, 51)))
+        x = rng.standard_normal((m, n, p)) * 10.0 ** rng.uniform(-3, 3, p)
+        fresh = _kernels.correlations(x, describe)
+        # Buffers that held other data, as they do from chunk to chunk.
+        out, work = (b.reshape(-1)[:m * p * p].reshape(m, p, p)
+                     for b in buffers)
+        got = _kernels.correlations(x, describe, out, work)
+        assert got is out
+        assert got.tobytes() == fresh.tobytes()
+        assert np.array_equal(got, got.transpose(0, 2, 1))
 
 
 def test_discrepancy_kernel_matches_reference():
