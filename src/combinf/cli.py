@@ -126,22 +126,29 @@ def _file_label(path) -> str:
     return stem.decode(sys.getfilesystemencoding(), "replace")
 
 
+def _check_same_labels(labels_a, labels_b, name_a, name_b) -> None:
+    """Raise DataError unless two matrices have the same node labels in the
+    same order, naming the first differing position when the labels are
+    the same in another order, else the labels found on one side only."""
+    if labels_a == labels_b:
+        return
+    only_a = sorted(set(labels_a) - set(labels_b))
+    only_b = sorted(set(labels_b) - set(labels_a))
+    if not only_a and not only_b:
+        i = next(i for i, (a, b) in enumerate(zip(labels_a, labels_b)) if a != b)
+        raise DataError(
+            f"node labels differ in order: position {i} is "
+            f"{labels_a[i]!r} in {name_a} and {labels_b[i]!r} in {name_b}")
+    raise DataError(f"node labels differ (only in {name_a}: {only_a[:5]}, "
+                    f"only in {name_b}: {only_b[:5]})")
+
+
 def cmd_compare(args) -> int:
     ma = read_matrix_csv(args.matrix_a)
     mb = read_matrix_csv(args.matrix_b)
     if ma.p != mb.p:
         raise DataError(f"matrix dimensions differ: {ma.p} vs {mb.p}")
-    if ma.labels != mb.labels:
-        only_a = sorted(set(ma.labels) - set(mb.labels))
-        only_b = sorted(set(mb.labels) - set(ma.labels))
-        if not only_a and not only_b:
-            i = next(i for i, (a, b) in enumerate(zip(ma.labels, mb.labels))
-                     if a != b)
-            raise DataError(
-                f"node labels differ in order: position {i} is "
-                f"{ma.labels[i]!r} in A and {mb.labels[i]!r} in B")
-        raise DataError(
-            f"node labels differ (only in A: {only_a[:5]}, only in B: {only_b[:5]})")
+    _check_same_labels(ma.labels, mb.labels, "A", "B")
     name_a, name_b = _file_label(args.matrix_a), _file_label(args.matrix_b)
     return _compare_report(
         *_forests(ma, mb, _MODE_MAP[args.mode], name_a, name_b),
@@ -173,8 +180,7 @@ def _twin_map(manifest, symmetrize):
 def cmd_heritability(args) -> int:
     c_mz = _twin_map(args.mz, args.symmetrize)
     c_dz = _twin_map(args.dz, args.symmetrize)
-    if c_mz.labels != c_dz.labels:
-        raise DataError("MZ and DZ cohorts have different node labels")
+    _check_same_labels(c_mz.labels, c_dz.labels, "MZ", "DZ")
     hi = heritability_index(c_mz, c_dz)
     # Both trees are checked before anything is written, so a data error
     # leaves no output.

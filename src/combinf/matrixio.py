@@ -42,14 +42,30 @@ def read_matrix_csv(path, labels=None) -> ConnectivityMatrix:
 
 def write_matrix_csv(matrix, path) -> None:
     """Write a labeled square matrix as CSV with full round-trip precision."""
+    rows = _csv_rows(np.asarray(matrix.values))
     try:
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(matrix.labels)
-            # csv writes each Python float by its repr
-            writer.writerows(np.asarray(matrix.values).tolist())
+            writer.writerows(rows)
     except OSError as err:
         raise DataError(f"cannot write {path}: {err}") from err
+
+
+def _csv_rows(values):
+    """The rows of values for csv.writer, which writes each Python float by
+    its repr. A float64 matrix equal to its transpose bit for bit gets the
+    repr of each upper-triangle cell, made once and mirrored: the same
+    bytes from half the conversions."""
+    if (values.dtype != np.float64 or values.ndim != 2
+            or values.shape[0] != values.shape[1]):
+        return values.tolist()
+    bits = values.view(np.uint64)
+    if not (bits == bits.T).all():
+        return values.tolist()
+    upper = values[~np.tri(len(values), k=-1, dtype=bool)]
+    text = np.array(list(map(repr, upper.tolist())), dtype=object)
+    return _mirrored(text, len(values)).tolist()
 
 
 def _is_float(tok) -> bool:
@@ -119,8 +135,10 @@ def _read_with_loadtxt(fh):
 
     The file object splits the lines, as it does for csv.reader, and
     csv.reader reads the first row. np.loadtxt then parses the body's lines
-    in one call, with no str per cell. On an ASCII token it gives float()'s
-    double or rejects it ('1_0', '"1"', '#'), except that it also strips
+    in one call, with no str per cell, or only the upper triangle of a body
+    whose mirrored tokens are the same bytes (_upper_triangle_line), whose
+    values are then mirrored. On an ASCII token it gives float()'s double
+    or rejects it ('1_0', '"1"', '#'), except that it also strips
     _NOT_FLOAT_SPACE. Left to the csv route: non-ASCII text, those four
     characters, a line longer than the csv field limit, a body with no rows
     (on which numpy warns), a ragged or non-square body, and non-finite
@@ -139,12 +157,73 @@ def _read_with_loadtxt(fh):
                 or not body.strip()
                 or max(map(len, lines)) > csv.field_size_limit()):
             return None
-        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        upper = _upper_triangle_line(body, len(lines))
+        values = np.loadtxt(lines if upper is None else [upper],
+                            delimiter=",", comments=None, ndmin=2)
     except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
         return None
+    if upper is not None:
+        values = _mirrored(values[0], len(lines))
     if values.shape[0] != values.shape[1] or not np.isfinite(values).all():
         return None
     return labels, values
+
+
+def _upper_triangle_line(body, p):
+    """Tokens (i, j), j >= i, of an ASCII body in row-major order, joined by
+    commas, when the body is p lines of p comma-separated tokens, each line
+    ended by '\\n' or '\\r\\n', and token (j, i) has the bytes of token
+    (i, j) for every i < j; else None.
+
+    Equal bytes parse to the same double or fail alike, so parsing this one
+    line gives every value of the full parse, or its error, in p(p+1)/2
+    conversions instead of p**2."""
+    if "\r" in body:
+        # numpy ends a line at "\r\n" as at "\n", and csv.writer writes it
+        body = body.replace("\r\n", "\n")
+    if not body.endswith("\n") or "\r" in body:
+        return None
+    data = body.encode("ascii")
+    raw = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    # p newlines in all, so when each row's p-th separator is one, the
+    # other separators are commas
+    if ends.size != p * p or not (raw[ends[p - 1::p]] == ord("\n")).all():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = (ends - starts).reshape(p, p)
+    if not (lengths == lengths.T).all() or lengths.max() >= 2**16:
+        return None
+    starts = starts.reshape(p, p)
+    # Token (j, i), j > i, against token (i, j), one token length at a time:
+    # the stable sort of 16-bit lengths is a radix sort, and the tokens of
+    # one length are items of a sliding window of that many bytes.
+    lower = np.tri(p, k=-1, dtype=bool)
+    sizes = lengths[lower].astype(np.uint16)
+    order = np.argsort(sizes, kind="stable")
+    below, above = starts[lower][order], starts.T[lower][order]
+    hi = 0
+    for size, count in enumerate(np.bincount(sizes).tolist()):
+        lo, hi = hi, hi + count
+        if size and count:
+            tokens = np.ndarray((raw.size - size + 1,), f"V{size}", data, 0,
+                                (1,))
+            if tokens[below[lo:hi]].tobytes() != tokens[above[lo:hi]].tobytes():
+                return None
+    return ",".join(body[start:end] for start, end in
+                    zip(starts.diagonal().tolist(), ends[p - 1::p].tolist()))
+
+
+def _mirrored(upper, p):
+    """The symmetric p x p array whose upper triangle, diagonal included, is
+    the 1-D array upper in row-major order."""
+    values = np.empty((p, p), upper.dtype)
+    mask = ~np.tri(p, k=-1, dtype=bool)
+    values[mask] = upper
+    values.T[mask] = upper
+    return values
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +39,41 @@ class TestMatrixCsv:
         back = read_matrix_csv(path)
         assert back.labels == cm.labels
         assert np.array_equal(back.values, cm.values)
+
+    @pytest.mark.parametrize("values, mirrored", [
+        ([[1.0, -0.0], [0.0, 1.0]], False),
+        ([[5e-324, 2.2e-308], [2.2e-308, -5e-324]], True),
+        ([[1.0, 0.5], [0.5000000000000001, 1.0]], False),
+        ([[0.1, -0.0, 1e300], [-0.0, 1 / 3, -2.5e-7], [1e300, -2.5e-7, 7.0]],
+         True),
+    ], ids=["signed_zero_mirror", "subnormal", "asymmetric", "symmetric"])
+    def test_writes_the_bytes_of_every_cell_formatted(self, tmp_path, values,
+                                                      mirrored):
+        # Only a bitwise symmetric array has its mirrored strings made once;
+        # either way the bytes are those of csv.writer on the floats.
+        values = np.array(values)
+        matrix = SimpleNamespace(labels=tuple("abc"[:len(values)]),
+                                 values=values)
+        assert isinstance(matrixio._csv_rows(values)[0][0], str) == mirrored
+        write_matrix_csv(matrix, tmp_path / "m.csv")
+        with (tmp_path / "ref.csv").open("w", newline="",
+                                         encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(matrix.labels)
+            writer.writerows(values.tolist())
+        assert ((tmp_path / "m.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    def test_written_matrix_reads_back_bit_for_bit(self, rng, tmp_path):
+        odd = np.array([[-0.0, 2e-323, 0.3], [2e-323, 1.0, -1e-310],
+                        [0.3, -1e-310, 5e-324]])
+        for cm in (random_corr(rng, tuple(f"n{k}" for k in range(9))),
+                   ConnectivityMatrix(("x", "y", "z"), odd)):
+            path = tmp_path / "m.csv"
+            write_matrix_csv(cm, path)
+            back = read_matrix_csv(path)
+            assert back.labels == cm.labels
+            assert back.values.tobytes() == cm.values.tobytes()
 
     def test_headerless_gets_default_labels(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -90,46 +126,86 @@ class TestMatrixCsv:
         assert "field larger than field limit" in err
 
 
-# Files the C route reads, or leaves to the csv route, with the labels the
-# read gives or a piece of its DataError text.
+# Files with the route that reads them, and the labels the read gives or a
+# piece of its DataError text. The routes: "upper" (the C route parses the
+# upper triangle of a body whose mirrored tokens are the same bytes),
+# "lines" (the C route parses every line) and "csv" (the C route declines
+# the file). Either C route reads as the csv route does.
 _ROUTE_CASES = {
-    "crlf": ("a,b\r\n1,0.5\r\n0.5,1\r\n", True, ("a", "b")),
-    "lone_cr": ("a,b\r1,0.5\r0.5,1\r", True, ("a", "b")),
-    "blank_lines": ("\na,b\n\r\n1,0.5\r\r\n0.5,1\n\n", True, ("a", "b")),
-    "no_final_newline": ("1,0.5\n0.5,1", True, ("V1", "V2")),
-    "subnormal_negative_zero": ("5e-324,-0.0\n-0.0,2.225e-308\n", True,
+    "crlf": ("a,b\r\n1,0.5\r\n0.5,1\r\n", "upper", ("a", "b")),
+    "mixed_line_ends": ("1,0.5\r\n0.5,1\n", "upper", ("V1", "V2")),
+    "crlf_no_final_newline": ("1,0.5\r\n0.5,1", "lines", ("V1", "V2")),
+    "crlf_mirror_spelled_twice": ("1,0.5\r\n0.50,1\r\n", "lines",
+                                  ("V1", "V2")),
+    "lone_cr": ("a,b\r1,0.5\r0.5,1\r", "lines", ("a", "b")),
+    "blank_lines": ("\na,b\n\r\n1,0.5\r\r\n0.5,1\n\n", "lines", ("a", "b")),
+    "no_final_newline": ("1,0.5\n0.5,1", "lines", ("V1", "V2")),
+    "mirror_spelled_twice": ("a,b\n1,0.5\n0.50,1\n", "lines", ("a", "b")),
+    "mirror_signed_zero": ("1,-0.0\n0.0,1\n", "lines", ("V1", "V2")),
+    "mirror_is_a_prefix": ("a,b\n1,0.50\n0.5,1\n", "lines", ("a", "b")),
+    "mirror_is_a_prefix_of_another_value": ("1,0.5\n0,1\n", "lines",
+                                            "not symmetric"),
+    "mirror_space": ("1, 0.5\n0.5 ,1\n", "lines", ("V1", "V2")),
+    "mirror_exponent": ("1,5e-1\n0.5,1\n", "lines", ("V1", "V2")),
+    "byte_symmetric": ("a,b,c\n1,0.5,-2e-3\n0.5,1,+7\n-2e-3,+7,1\n", "upper",
+                       ("a", "b", "c")),
+    "one_node": ("x\n5\n", "upper", ("x",)),
+    "subnormal_negative_zero": ("5e-324,-0.0\n-0.0,2.225e-308\n", "upper",
                                 ("V1", "V2")),
-    "hash_label": ("#a,b\n1,0\n0,1\n", True, ("#a", "b")),
-    "quoted_label": ('"a,b",c\n1,0\n0,1\n', True, ("a,b", "c")),
-    "bom_label": ("\ufeffa,b\n1,0\n0,1\n", True, ("\ufeffa", "b")),
-    "asymmetric": ("1,2\n3,1\n", True, "not symmetric"),
-    "label_count": ("a,b,c\n1,0\n0,1\n", True, "3 labels for 2 nodes"),
-    "hash_token": ("a,b\n1,#\n#,1\n", False, "cannot parse '#'"),
-    "bom_number": ("\ufeff1,0\n0,1\n", False, "row 1 has 2 columns"),
-    "quoted_number": ('"1",0\n0,1\n', False, ("V1", "V2")),
-    "underscore": ("1_0,0\n0,1\n", False, ("V1", "V2")),
-    "arabic_digit": ("\u0661,0\n0,1\n", False, ("V1", "V2")),
-    "whitespace_line": ("1,0\n \n0,1\n", False, "row 1 has 2 columns"),
-    "form_feed_inside": ("a\n1\x0c2\n", False, "cannot parse '1\\x0c2'"),
-    "form_feed_strip": ("1,0\x0c\n0\x0c,1\n", True, ("V1", "V2")),
-    "next_line_strip": ("1,0\x85\n0,1\n", False, ("V1", "V2")),
-    "line_separator": ("a\n1\u20282\n", False, "cannot parse '1\\u20282'"),
-    "file_separator": ("a,b\n1,0\x1c\n0\x1c,1\n", False,
+    "hash_label": ("#a,b\n1,0\n0,1\n", "upper", ("#a", "b")),
+    "quoted_label": ('"a,b",c\n1,0\n0,1\n', "upper", ("a,b", "c")),
+    "bom_label": ("\ufeffa,b\n1,0\n0,1\n", "upper", ("\ufeffa", "b")),
+    "asymmetric": ("1,2\n3,1\n", "lines", "not symmetric"),
+    "label_count": ("a,b,c\n1,0\n0,1\n", "upper", "3 labels for 2 nodes"),
+    "hash_token": ("a,b\n1,#\n#,1\n", "csv", "cannot parse '#'"),
+    "bad_mirrored_token": ("a,b\n1,x\nx,1\n", "csv", "cannot parse 'x'"),
+    "bom_number": ("\ufeff1,0\n0,1\n", "csv", "row 1 has 2 columns"),
+    "quoted_number": ('"1",0\n0,1\n', "csv", ("V1", "V2")),
+    "underscore": ("1_0,0\n0,1\n", "csv", ("V1", "V2")),
+    "arabic_digit": ("\u0661,0\n0,1\n", "csv", ("V1", "V2")),
+    "whitespace_line": ("1,0\n \n0,1\n", "csv", "row 1 has 2 columns"),
+    "form_feed_inside": ("a\n1\x0c2\n", "csv", "cannot parse '1\\x0c2'"),
+    "form_feed_strip": ("1,0\x0c\n0\x0c,1\n", "upper", ("V1", "V2")),
+    "next_line_strip": ("1,0\x85\n0,1\n", "csv", ("V1", "V2")),
+    "line_separator": ("a\n1\u20282\n", "csv", "cannot parse '1\\u20282'"),
+    "file_separator": ("a,b\n1,0\x1c\n0\x1c,1\n", "csv",
                        "cannot parse '0\\x1c'"),
-    "nul": ("a,b\n1,0\x00\n0,1\n", False, "cannot parse '0\\x00'"),
-    "nan": ("1,nan\nnan,1\n", False, "non-finite value nan at row 1, column 2"),
-    "overflow": ("1,1e400\n1e400,1\n", False, "non-finite value inf"),
-    "ragged": ("1,0\n0\n", False, "row 2 has 1 columns, expected 2"),
-    "not_square": ("1,0,0\n0,1,0\n", False, "row 1 has 3 columns, expected 2"),
-    "empty": ("", False, "empty file"),
-    "blank_only": ("\n\r\n\r", False, "empty file"),
-    "header_only": ("a,b\n", False, "header but no data rows"),
-    "header_then_blank": ("a,b\r\n\r\n\n", False, "header but no data rows"),
-    "field_limit_row_1": ("0" * 200_000 + ",0\n0,1\n", False,
+    "nul": ("a,b\n1,0\x00\n0,1\n", "csv", "cannot parse '0\\x00'"),
+    "nan": ("1,nan\nnan,1\n", "csv", "non-finite value nan at row 1, column 2"),
+    "overflow": ("1,1e400\n1e400,1\n", "csv", "non-finite value inf"),
+    "ragged": ("1,0\n0\n", "csv", "row 2 has 1 columns, expected 2"),
+    # p * p tokens in all, which read row by row make a symmetric grid
+    "ragged_p_squared_tokens": ("1,2,2\n1\n", "csv",
+                                "row 1 has 3 columns, expected 2"),
+    "not_square": ("1,0,0\n0,1,0\n", "csv", "row 1 has 3 columns, expected 2"),
+    "empty": ("", "csv", "empty file"),
+    "blank_only": ("\n\r\n\r", "csv", "empty file"),
+    "header_only": ("a,b\n", "csv", "header but no data rows"),
+    "header_then_blank": ("a,b\r\n\r\n\n", "csv", "header but no data rows"),
+    "field_limit_row_1": ("0" * 200_000 + ",0\n0,1\n", "csv",
                           "field larger than field limit"),
-    "field_limit_row_2": ("1,0\n0," + "0" * 200_000 + "\n", False,
+    "field_limit_row_2": ("1,0\n0," + "0" * 200_000 + "\n", "csv",
                           "field larger than field limit"),
 }
+
+
+def _c_route(path, monkeypatch):
+    """"upper" or "lines", the part of the C route that read path, or "csv"
+    when the C route declined it."""
+    upper = []
+    real = matrixio._upper_triangle_line
+
+    def spy(body, p):
+        upper.append(real(body, p))
+        return upper[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matrixio, "_upper_triangle_line", spy)
+        with path.open(newline="", encoding="utf-8") as fh:
+            table = matrixio._read_with_loadtxt(fh)
+    if table is None:
+        return "csv"
+    return "lines" if upper[-1] is None else "upper"
 
 
 def _read_outcome(path):
@@ -142,15 +218,14 @@ def _read_outcome(path):
 
 
 class TestMatrixCsvRoutes:
-    @pytest.mark.parametrize("text, fast, expect", _ROUTE_CASES.values(),
+    @pytest.mark.parametrize("text, route, expect", _ROUTE_CASES.values(),
                              ids=_ROUTE_CASES.keys())
     def test_c_route_reads_as_csv_route(self, tmp_path, monkeypatch, text,
-                                        fast, expect):
+                                        route, expect):
         path = tmp_path / "m.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
             fh.write(text)
-        with path.open(newline="", encoding="utf-8") as fh:
-            assert (matrixio._read_with_loadtxt(fh) is not None) == fast
+        assert _c_route(path, monkeypatch) == route
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _read_outcome(path)
@@ -173,7 +248,7 @@ class TestMatrixCsvRoutes:
     def test_written_formats_take_the_c_route(self, rng, tmp_path,
                                               monkeypatch):
         # The two formats that the workflows write, and a headerless file,
-        # are read with the csv route disabled.
+        # are read with the csv route disabled, each by its upper triangle.
         cm = random_corr(rng, tuple(f"n{k}" for k in range(6)))
         write_matrix_csv(cm, tmp_path / "written.csv")
         np.savetxt(tmp_path / "savetxt.csv", cm.values, fmt="%.17g",
@@ -187,6 +262,7 @@ class TestMatrixCsvRoutes:
         monkeypatch.setattr(matrixio, "_parse_rows", csv_route)
         for name, labels in (("written", cm.labels), ("savetxt", cm.labels),
                              ("bare", tuple(f"V{k + 1}" for k in range(6)))):
+            assert _c_route(tmp_path / f"{name}.csv", monkeypatch) == "upper"
             back = read_matrix_csv(tmp_path / f"{name}.csv")
             assert back.labels == labels
             assert back.values.tobytes() == cm.values.tobytes()
@@ -563,8 +639,23 @@ class TestCliHeritability:
         assert cli.main(["heritability", "--mz", str(manifests[0]),
                          "--dz", str(manifests[1]),
                          "--out", str(tmp_path / "out")]) == 2
-        assert ("data error: MZ and DZ cohorts have different node labels"
-                in capsys.readouterr().err)
+        assert capsys.readouterr() == (
+            "", "data error: node labels differ (only in MZ: ['z'], only in "
+                "DZ: ['w'])\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_cohort_labels_reordered_exit_2(self, rng, tmp_path, capsys):
+        helper = TestManifest()
+        manifests = []
+        for name, labels in (("mz", ("x", "y", "z")), ("dz", ("x", "z", "y"))):
+            (tmp_path / name).mkdir()
+            manifests.append(helper.write_cohort(rng, tmp_path / name, labels))
+        assert cli.main(["heritability", "--mz", str(manifests[0]),
+                         "--dz", str(manifests[1]),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == (
+            "", "data error: node labels differ in order: position 1 is 'y' "
+                "in MZ and 'z' in DZ\n")
         assert not (tmp_path / "out").exists()
 
     def test_degenerate_edges_one_stderr_line_each(self, rng, tmp_path):

@@ -91,6 +91,15 @@ class TestSpearman:
         with pytest.raises(ValidationError):
             conn.spearman_correlation([1, 2], [3, 4])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_entry_rejected(self, side, bad):
+        vectors = {"a": [0.0, 1.0, 2.0, 3.0], "b": [1.0, 2.0, 3.0, 4.0]}
+        vectors[side][2] = bad
+        with pytest.raises(ValidationError) as err:
+            conn.spearman_correlation(vectors["a"], vectors["b"])
+        assert str(err.value) == f"{side} must be finite: {side}[2]={bad!r}"
+
     def test_rank_transform_invariance(self):
         rng = np.random.default_rng(9)
         maps = [lambda x: 2 * x + 1, np.exp, np.arctan, lambda x: x ** 3]

@@ -1,9 +1,10 @@
 """Property tests: the exact null against its oracles, the discrepancy
 kernel's tie flag against np.isin, the exit codes of `combinf pvalue`, the production spanning tree against the reference
 Kruskal, the midranks against scipy's rankdata, the twin map against an
-edge-by-edge Spearman loop, the matrix CSV reader against float(), and the
-exit codes of `combinf compare`, `heritability` and `simulate` on malformed
-files, on inputs drawn by hypothesis.
+edge-by-edge Spearman loop, the matrix CSV reader against float() and its
+upper-triangle parse against the csv route, and the exit codes of
+`combinf compare`, `heritability` and `simulate` on malformed files, on
+inputs drawn by hypothesis.
 
 Examples are few and derandomized, so the suite stays fast and repeatable.
 """
@@ -18,6 +19,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import ks_2samp, rankdata, spearmanr
 
-from combinf import _kernels, cli, connectivity, exact, mst
+from combinf import _kernels, cli, connectivity, exact, matrixio, mst
 from combinf.errors import DataError, ValidationError
 from combinf.matrixio import read_matrix_csv, write_matrix_csv
 from exact_reference import BRUTE_FORCE_MAX_Q, band_pvalue, brute_force_pvalue
@@ -303,6 +305,64 @@ def test_read_matrix_csv_parses_like_float(p, data):
                 read_matrix_csv(path)
             return
         assert read_matrix_csv(path).values.tobytes() == want.tobytes()
+
+
+# Spellings of one value each; the last group does not parse.
+_SPELLINGS = [["0.5", "0.50", "5e-1", "+0.5"], ["0", "-0.0", "0.0"],
+              ["x", "1e"]]
+
+
+def _read_outcome(path):
+    """The labels and value bytes read from path, or the DataError text."""
+    try:
+        matrix = read_matrix_csv(path)
+    except DataError as err:
+        return str(err)
+    return matrix.labels, matrix.values.tobytes()
+
+
+@FEW
+@given(p=st.integers(1, 5), header=st.booleans(),
+       end=st.sampled_from(["\n", "\r\n"]), last_end=st.booleans(),
+       data=st.data())
+def test_upper_triangle_parse_reads_as_csv_route(p, header, end, last_end,
+                                                 data):
+    # Each cell and its mirror image spell one value, or now and then two,
+    # each in one of its spellings. The C route reads the upper triangle
+    # alone exactly when every mirrored pair is spelled alike and the last
+    # line is ended; it reads as the csv route does either way.
+    tokens = [[""] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i, p):
+            group = data.draw(st.sampled_from(_SPELLINGS))
+            mirror = data.draw(st.sampled_from([group] * 4 + _SPELLINGS))
+            tokens[i][j] = data.draw(st.sampled_from(group))
+            if j > i:
+                tokens[j][i] = data.draw(st.sampled_from(mirror))
+    lines = [",".join(row) for row in tokens]
+    # a first row with a token float() rejects is a header
+    if header or not set(tokens[0]).isdisjoint(_SPELLINGS[-1]):
+        lines.insert(0, ",".join(f"n{k}" for k in range(p)))
+    text = end.join(lines) + (end if last_end else "")
+    upper = []
+    real = matrixio._upper_triangle_line
+
+    def spy(body, p):
+        line = real(body, p)
+        upper.append(line is not None)
+        return line
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/m.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        with patch.object(matrixio, "_upper_triangle_line", spy):
+            got = _read_outcome(path)
+        with patch.object(matrixio, "_read_with_loadtxt", lambda fh: None):
+            assert _read_outcome(path) == got
+    mirrored = all(tokens[i][j] == tokens[j][i]
+                   for i in range(p) for j in range(i))
+    assert upper == [mirrored and last_end]
 
 
 def _run_cli(argv):
