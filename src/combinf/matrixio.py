@@ -41,31 +41,22 @@ def read_matrix_csv(path, labels=None) -> ConnectivityMatrix:
 
 
 def write_matrix_csv(matrix, path) -> None:
-    """Write a labeled square matrix as CSV with full round-trip precision."""
-    rows = _csv_rows(np.asarray(matrix.values))
+    """Write a ConnectivityMatrix as CSV with full round-trip precision.
+
+    csv.writer writes each float by its repr. The values are exactly
+    symmetric, so the repr of each upper-triangle cell is made once and
+    mirrored: the bytes of formatting every cell, from half the
+    conversions."""
+    p = matrix.p
+    upper = matrix.values[~np.tri(p, k=-1, dtype=bool)]
+    text = np.array(list(map(repr, upper.tolist())), dtype=object)
     try:
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(matrix.labels)
-            writer.writerows(rows)
+            writer.writerows(_mirrored(text, p).tolist())
     except OSError as err:
         raise DataError(f"cannot write {path}: {err}") from err
-
-
-def _csv_rows(values):
-    """The rows of values for csv.writer, which writes each Python float by
-    its repr. A float64 matrix equal to its transpose bit for bit gets the
-    repr of each upper-triangle cell, made once and mirrored: the same
-    bytes from half the conversions."""
-    if (values.dtype != np.float64 or values.ndim != 2
-            or values.shape[0] != values.shape[1]):
-        return values.tolist()
-    bits = values.view(np.uint64)
-    if not (bits == bits.T).all():
-        return values.tolist()
-    upper = values[~np.tri(len(values), k=-1, dtype=bool)]
-    text = np.array(list(map(repr, upper.tolist())), dtype=object)
-    return _mirrored(text, len(values)).tolist()
 
 
 def _is_float(tok) -> bool:
@@ -157,7 +148,7 @@ def _read_with_loadtxt(fh):
                 or not body.strip()
                 or max(map(len, lines)) > csv.field_size_limit()):
             return None
-        upper = _upper_triangle_line(body, len(lines))
+        upper = _upper_triangle_line(body, lines)
         values = np.loadtxt(lines if upper is None else [upper],
                             delimiter=",", comments=None, ndmin=2)
     except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
@@ -169,15 +160,21 @@ def _read_with_loadtxt(fh):
     return labels, values
 
 
-def _upper_triangle_line(body, p):
+def _upper_triangle_line(body, lines):
     """Tokens (i, j), j >= i, of an ASCII body in row-major order, joined by
-    commas, when the body is p lines of p comma-separated tokens, each line
-    ended by '\\n' or '\\r\\n', and token (j, i) has the bytes of token
-    (i, j) for every i < j; else None.
+    commas, when the body, the join of its p lines, has p comma-separated
+    tokens on each line, each line ended by '\\n' or '\\r\\n', and token
+    (j, i) has the bytes of token (i, j) for every i < j; else None.
 
     Equal bytes parse to the same double or fail alike, so parsing this one
     line gives every value of the full parse, or its error, in p(p+1)/2
     conversions instead of p**2."""
+    p = len(lines)
+    # Row 0 against column 0 first, in O(p), so that a matrix symmetric only
+    # within a tolerance is turned away before the O(bytes) passes.
+    if p > 1 and (lines[0].rstrip("\r\n").split(",")[1:]
+                  != [line[:line.find(",")] for line in lines[1:]]):
+        return None
     if "\r" in body:
         # numpy ends a line at "\r\n" as at "\n", and csv.writer writes it
         body = body.replace("\r\n", "\n")

@@ -8,7 +8,6 @@ import warnings
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,27 +39,24 @@ class TestMatrixCsv:
         assert back.labels == cm.labels
         assert np.array_equal(back.values, cm.values)
 
-    @pytest.mark.parametrize("values, mirrored", [
-        ([[1.0, -0.0], [0.0, 1.0]], False),
-        ([[5e-324, 2.2e-308], [2.2e-308, -5e-324]], True),
-        ([[1.0, 0.5], [0.5000000000000001, 1.0]], False),
-        ([[0.1, -0.0, 1e300], [-0.0, 1 / 3, -2.5e-7], [1e300, -2.5e-7, 7.0]],
-         True),
-    ], ids=["signed_zero_mirror", "subnormal", "asymmetric", "symmetric"])
-    def test_writes_the_bytes_of_every_cell_formatted(self, tmp_path, values,
-                                                      mirrored):
-        # Only a bitwise symmetric array has its mirrored strings made once;
-        # either way the bytes are those of csv.writer on the floats.
-        values = np.array(values)
-        matrix = SimpleNamespace(labels=tuple("abc"[:len(values)]),
-                                 values=values)
-        assert isinstance(matrixio._csv_rows(values)[0][0], str) == mirrored
+    @pytest.mark.parametrize("values", [
+        [[1.0, -0.0], [0.0, 1.0]],
+        [[5e-324, 2.2e-308], [2.2e-308, -5e-324]],
+        [[0.1, -0.0, 1e300], [-0.0, 1 / 3, -2.5e-7], [1e300, -2.5e-7, 7.0]],
+    ], ids=["signed_zero_mirror", "subnormal", "symmetric"])
+    def test_writes_the_bytes_of_every_cell_formatted(self, tmp_path, values):
+        # A ConnectivityMatrix stores exactly symmetric values, whose
+        # mirrored strings are made once; the bytes are those of csv.writer
+        # on every float.
+        matrix = ConnectivityMatrix(tuple("abc"[:len(values)]), values)
+        bits = matrix.values.view(np.uint64)
+        assert (bits == bits.T).all()
         write_matrix_csv(matrix, tmp_path / "m.csv")
         with (tmp_path / "ref.csv").open("w", newline="",
                                          encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(matrix.labels)
-            writer.writerows(values.tolist())
+            writer.writerows(matrix.values.tolist())
         assert ((tmp_path / "m.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
 
@@ -147,6 +143,12 @@ _ROUTE_CASES = {
                                             "not symmetric"),
     "mirror_space": ("1, 0.5\n0.5 ,1\n", "lines", ("V1", "V2")),
     "mirror_exponent": ("1,5e-1\n0.5,1\n", "lines", ("V1", "V2")),
+    # row 0 and column 0 agree, so the check gets past its first test;
+    # "+7" and "7." have one length
+    "mirror_differs_past_row_0": ("a,b,c\n1,0.5,0\n0.5,1,+7\n0,7.,1\n",
+                                  "lines", ("a", "b", "c")),
+    "crlf_mirror_differs_past_row_0": ("1,0,0\r\n0,1,-0.0\r\n0,0.0,1\r\n",
+                                       "lines", ("V1", "V2", "V3")),
     "byte_symmetric": ("a,b,c\n1,0.5,-2e-3\n0.5,1,+7\n-2e-3,+7,1\n", "upper",
                        ("a", "b", "c")),
     "one_node": ("x\n5\n", "upper", ("x",)),
@@ -195,8 +197,8 @@ def _c_route(path, monkeypatch):
     upper = []
     real = matrixio._upper_triangle_line
 
-    def spy(body, p):
-        upper.append(real(body, p))
+    def spy(body, lines):
+        upper.append(real(body, lines))
         return upper[-1]
 
     with monkeypatch.context() as patch:
@@ -235,6 +237,14 @@ class TestMatrixCsvRoutes:
             assert expect in got
         else:
             assert got[0] == expect
+
+    def test_row_0_against_column_0_comes_before_the_body(self):
+        # A matrix symmetric only within the tolerance differs in row 0 and
+        # column 0; the check turns it away from the lines alone, without
+        # the passes over the body (None here).
+        lines = ["1,0.10000000000000001,0.2\n", "0.1,1,0.3\n",
+                 "0.2,0.3,1\n"]
+        assert matrixio._upper_triangle_line(None, lines) is None
 
     def test_field_limit_error_text(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -347,8 +347,8 @@ def test_upper_triangle_parse_reads_as_csv_route(p, header, end, last_end,
     upper = []
     real = matrixio._upper_triangle_line
 
-    def spy(body, p):
-        line = real(body, p)
+    def spy(body, lines):
+        line = real(body, lines)
         upper.append(line is not None)
         return line
 
