@@ -198,7 +198,7 @@ def cmd_heritability(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        doc = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read config {args.config}: {err}") from err
     except json.JSONDecodeError as err:

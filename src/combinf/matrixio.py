@@ -78,29 +78,33 @@ def _header(row):
 def _read_table(path):
     """The header labels (or None) and the float64 values of a square CSV.
 
-    numpy's C parser reads the body in one call when it can. Any other file
-    is read again by csv.reader and parsed by _parse_rows, which diagnoses
-    every error; the two routes give the same labels and value bytes."""
+    The file is opened and decoded once, a leading byte-order mark dropped,
+    and csv.reader reads its first non-empty row, the header when _header
+    says so. numpy's C parser reads the body's lines in one call when it
+    can; on any other body the same reader reads on, and _parse_rows
+    diagnoses every error. The two routes give the same labels and value
+    bytes."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            table = _read_with_loadtxt(fh)
-        if table is None:
-            with path.open(newline="", encoding="utf-8") as fh:
-                rows = [row for row in csv.reader(fh) if row]
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+        reader = csv.reader(lines)
+        first = next(filter(None, reader), None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        labels = _header(first)
+        rows = [first] if labels is None else []
+        values = _loadtxt_body(lines if labels is None
+                               else lines[reader.line_num:])
+        if values is None:
+            rows += filter(None, reader)
     except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError(f"cannot read {path}: {err}") from err
-    return table or _parse_rows(path, rows)
+    return labels, _parse_rows(path, rows) if values is None else values
 
 
 def _parse_rows(path, rows):
-    """The labels and values of csv.reader's non-empty rows, each token read
-    by Python's float rules."""
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    labels = _header(rows[0])
-    if labels is not None:
-        rows = rows[1:]
-
+    """The values of csv.reader's non-empty body rows, each token read by
+    Python's float rules."""
     p = len(rows)
     if p == 0:
         raise DataError(f"{path}: header but no data rows")
@@ -117,47 +121,35 @@ def _parse_rows(path, rows):
         raise DataError(
             f"{path}: row {short + 1} has {len(rows[short])} columns, "
             f"expected {p} (matrix must be square)")
-    return labels, values
+    return values
 
 
-def _read_with_loadtxt(fh):
-    """The labels and values of a file that numpy's C parser reads exactly
-    as the csv route would, or None for any other file.
+def _loadtxt_body(lines):
+    """The values of body lines that numpy's C parser reads exactly as the
+    csv route would, or None for any other body.
 
-    The file object splits the lines, as it does for csv.reader, and
-    csv.reader reads the first row. np.loadtxt then parses the body's lines
-    in one call, with no str per cell, or only the upper triangle of a body
-    whose mirrored tokens are the same bytes (_upper_triangle_line), whose
-    values are then mirrored. On an ASCII token it gives float()'s double
-    or rejects it ('1_0', '"1"', '#'), except that it also strips
-    _NOT_FLOAT_SPACE. Left to the csv route: non-ASCII text, those four
-    characters, a line longer than the csv field limit, a body with no rows
-    (on which numpy warns), a ragged or non-square body, and non-finite
-    values."""
+    np.loadtxt parses the lines in one call, with no str per cell, or only
+    the upper triangle of a body whose mirrored tokens are the same bytes
+    (_upper_triangle_line), whose values are then mirrored. On an ASCII
+    token it gives float()'s double, non-finite ones included, or rejects
+    it ('1_0', '"1"', '#'), except that it also strips _NOT_FLOAT_SPACE.
+    Left to the csv route: non-ASCII text, those four characters, a line
+    longer than the csv field limit, a body with no rows (on which numpy
+    warns), and a ragged or non-square body."""
+    body = "".join(lines)
+    if (not body.isascii() or any(ch in body for ch in _NOT_FLOAT_SPACE)
+            or not body.strip()
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    upper = _upper_triangle_line(body, lines)
     try:
-        lines = fh.readlines()
-        reader = csv.reader(lines)
-        first = next(filter(None, reader), None)
-        if first is None:
-            return None
-        labels = _header(first)
-        if labels is not None:
-            lines = lines[reader.line_num:]
-        body = "".join(lines)
-        if (not body.isascii() or any(ch in body for ch in _NOT_FLOAT_SPACE)
-                or not body.strip()
-                or max(map(len, lines)) > csv.field_size_limit()):
-            return None
-        upper = _upper_triangle_line(body, lines)
         values = np.loadtxt(lines if upper is None else [upper],
                             delimiter=",", comments=None, ndmin=2)
-    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+    except ValueError:
         return None
     if upper is not None:
-        values = _mirrored(values[0], len(lines))
-    if values.shape[0] != values.shape[1] or not np.isfinite(values).all():
-        return None
-    return labels, values
+        return _mirrored(values[0], len(lines))
+    return values if values.shape[0] == values.shape[1] else None
 
 
 def _upper_triangle_line(body, lines):
@@ -235,7 +227,7 @@ class CohortManifest:
     def load(cls, path) -> "CohortManifest":
         path = Path(path)
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(path.read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError) as err:
             raise DataError(f"cannot read {path}: {err}") from err
         except json.JSONDecodeError as err:

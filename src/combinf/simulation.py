@@ -127,6 +127,13 @@ class SimulationConfig:
                     f"/permutation_fractions/{idx}: {f} x C({2 * self.n}, "
                     f"{self.n}) relabelings of {2 * self.n} indices each exceed "
                     f"{MAX_RELABELING_INDICES} indices")
+            try:
+                permutation_count(f, self.n)
+            except OverflowError:
+                raise ValidationError(
+                    f"/permutation_fractions/{idx}: {f} x C({2 * self.n}, "
+                    f"{self.n}) has no double value: C({2 * self.n}, "
+                    f"{self.n}) is past the largest double") from None
             label = _method_label(float(f))
             if label in labels:
                 raise ValidationError(

@@ -8,6 +8,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,7 +127,8 @@ class TestMatrixCsv:
 # piece of its DataError text. The routes: "upper" (the C route parses the
 # upper triangle of a body whose mirrored tokens are the same bytes),
 # "lines" (the C route parses every line) and "csv" (the C route declines
-# the file). Either C route reads as the csv route does.
+# the body, or the file has none). Either C route reads as the csv route
+# does.
 _ROUTE_CASES = {
     "crlf": ("a,b\r\n1,0.5\r\n0.5,1\r\n", "upper", ("a", "b")),
     "mixed_line_ends": ("1,0.5\r\n0.5,1\n", "upper", ("V1", "V2")),
@@ -156,12 +158,17 @@ _ROUTE_CASES = {
                                 ("V1", "V2")),
     "hash_label": ("#a,b\n1,0\n0,1\n", "upper", ("#a", "b")),
     "quoted_label": ('"a,b",c\n1,0\n0,1\n', "upper", ("a,b", "c")),
-    "bom_label": ("\ufeffa,b\n1,0\n0,1\n", "upper", ("\ufeffa", "b")),
+    # the body starts past the header's lines, however many they are
+    "header_spans_two_lines": ('"a\nb",c\n1,0\n0,1\n', "upper",
+                               ("a\nb", "c")),
+    "blank_lines_before_header": ("\n\na,b\n1,0\n0,1\n", "upper", ("a", "b")),
+    # a leading UTF-8 byte-order mark is dropped
+    "bom_label": ("\ufeffa,b\n1,0\n0,1\n", "upper", ("a", "b")),
     "asymmetric": ("1,2\n3,1\n", "lines", "not symmetric"),
     "label_count": ("a,b,c\n1,0\n0,1\n", "upper", "3 labels for 2 nodes"),
     "hash_token": ("a,b\n1,#\n#,1\n", "csv", "cannot parse '#'"),
     "bad_mirrored_token": ("a,b\n1,x\nx,1\n", "csv", "cannot parse 'x'"),
-    "bom_number": ("\ufeff1,0\n0,1\n", "csv", "row 1 has 2 columns"),
+    "bom_number": ("\ufeff1,0\n0,1\n", "upper", ("V1", "V2")),
     "quoted_number": ('"1",0\n0,1\n', "csv", ("V1", "V2")),
     "underscore": ("1_0,0\n0,1\n", "csv", ("V1", "V2")),
     "arabic_digit": ("\u0661,0\n0,1\n", "csv", ("V1", "V2")),
@@ -173,8 +180,9 @@ _ROUTE_CASES = {
     "file_separator": ("a,b\n1,0\x1c\n0\x1c,1\n", "csv",
                        "cannot parse '0\\x1c'"),
     "nul": ("a,b\n1,0\x00\n0,1\n", "csv", "cannot parse '0\\x00'"),
-    "nan": ("1,nan\nnan,1\n", "csv", "non-finite value nan at row 1, column 2"),
-    "overflow": ("1,1e400\n1e400,1\n", "csv", "non-finite value inf"),
+    "nan": ("1,nan\nnan,1\n", "upper",
+            "non-finite value nan at row 1, column 2"),
+    "overflow": ("1,1e400\n1e400,1\n", "upper", "non-finite value inf"),
     "ragged": ("1,0\n0\n", "csv", "row 2 has 1 columns, expected 2"),
     # p * p tokens in all, which read row by row make a symmetric grid
     "ragged_p_squared_tokens": ("1,2,2\n1\n", "csv",
@@ -193,19 +201,24 @@ _ROUTE_CASES = {
 
 def _c_route(path, monkeypatch):
     """"upper" or "lines", the part of the C route that read path, or "csv"
-    when the C route declined it."""
-    upper = []
-    real = matrixio._upper_triangle_line
+    when the C route declined its body or the file has none."""
+    upper, table = [], [None]
+    real_upper = matrixio._upper_triangle_line
+    real_body = matrixio._loadtxt_body
 
-    def spy(body, lines):
-        upper.append(real(body, lines))
+    def upper_spy(body, lines):
+        upper.append(real_upper(body, lines))
         return upper[-1]
 
+    def body_spy(lines):
+        table.append(real_body(lines))
+        return table[-1]
+
     with monkeypatch.context() as patch:
-        patch.setattr(matrixio, "_upper_triangle_line", spy)
-        with path.open(newline="", encoding="utf-8") as fh:
-            table = matrixio._read_with_loadtxt(fh)
-    if table is None:
+        patch.setattr(matrixio, "_upper_triangle_line", upper_spy)
+        patch.setattr(matrixio, "_loadtxt_body", body_spy)
+        _read_outcome(path)
+    if table[-1] is None:
         return "csv"
     return "lines" if upper[-1] is None else "upper"
 
@@ -231,12 +244,29 @@ class TestMatrixCsvRoutes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _read_outcome(path)
-        monkeypatch.setattr(matrixio, "_read_with_loadtxt", lambda fh: None)
+        monkeypatch.setattr(matrixio, "_loadtxt_body", lambda lines: None)
         assert _read_outcome(path) == got
         if isinstance(expect, str):
             assert expect in got
         else:
             assert got[0] == expect
+
+    @pytest.mark.parametrize("case", ["byte_symmetric", "quoted_number"])
+    def test_reads_the_file_once(self, tmp_path, monkeypatch, case):
+        # the C route reads byte_symmetric; the csv route reads on from the
+        # lines of the same open for quoted_number
+        path = tmp_path / "m.csv"
+        path.write_text(_ROUTE_CASES[case][0])
+        opened = []
+        real = Path.open
+
+        def spy(self, *args, **kwargs):
+            opened.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", spy)
+        assert read_matrix_csv(path).labels == _ROUTE_CASES[case][2]
+        assert opened == [path]
 
     def test_row_0_against_column_0_comes_before_the_body(self):
         # A matrix symmetric only within the tolerance differs in row 0 and
@@ -813,9 +843,15 @@ class TestCliSimulate:
         ({"seed": 3, "sigma": float("nan")}, "/sigma"),
         ({"seed": 3, "sigma": 1.7e308}, "/sigma"),
         ({"seed": 3, "n": 600}, "/permutation_fractions/0"),
+        # C(1040, 520) is past the largest double, and 5e-324 of it is few
+        # enough relabelings to pass the cap on their count
+        ({"seed": 1, "n": 520, "permutation_fractions": [5e-324]},
+         "/permutation_fractions/0: 5e-324 x C(1040, 520) has no double "
+         "value"),
     ], ids=["not_object", "string_n", "bool_seed", "scalar_fractions",
             "one_element_pairing", "negative_seed", "nan_sigma",
-            "sigma_past_2_to_1000", "relabelings_past_float"])
+            "sigma_past_2_to_1000", "relabelings_past_float",
+            "count_past_double"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, doc, key):
         # small enough to run quickly wherever a check is missing
         if isinstance(doc, dict):
@@ -877,6 +913,21 @@ class TestCliDataErrors:
         }[kind]
         assert cli.main(argv) == 2
         assert str(bad) in capsys.readouterr().err
+
+    def test_bom_prefixed_manifest_and_config_load(self, rng, tmp_path,
+                                                   capsys):
+        # Excel's "CSV UTF-8" and some editors start a file with the mark
+        manifest = self.manifest(rng, tmp_path)
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        assert len(CohortManifest.load(manifest).pairs) == 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({
+            "seed": 3, "n": 4, "p": 4, "replications": 1,
+            "pairings": [[0, 0]], "permutation_fractions": [0.1]}).encode())
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "report.json").exists()
+        capsys.readouterr()
 
     @pytest.mark.parametrize("key", ["a", "b"])
     def test_non_string_pair_path_exit_2(self, rng, tmp_path, capsys, key):

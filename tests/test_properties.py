@@ -358,7 +358,7 @@ def test_upper_triangle_parse_reads_as_csv_route(p, header, end, last_end,
             fh.write(text)
         with patch.object(matrixio, "_upper_triangle_line", spy):
             got = _read_outcome(path)
-        with patch.object(matrixio, "_read_with_loadtxt", lambda fh: None):
+        with patch.object(matrixio, "_loadtxt_body", lambda lines: None):
             assert _read_outcome(path) == got
     mirrored = all(tokens[i][j] == tokens[j][i]
                    for i in range(p) for j in range(i))
