@@ -26,9 +26,11 @@ from .simulation import (
     ExperimentReport,
     RngStream,
     SimulationConfig,
+    all_splits,
     permutation_test,
     run_combinatorial_trial,
     run_experiment,
+    sampled_relabelings,
     simulate_modular_data,
     simulate_modular_pair,
 )
@@ -38,11 +40,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ConnectivityMatrix", "DataError", "DataMatrix", "DiscrepancyResult",
     "ExperimentReport", "RngStream", "SimulationConfig", "SpanningForest",
-    "TwinCohort", "TwinMap", "ValidationError", "WeightMode", "compare_msts",
-    "discrepancy", "exact_pvalue", "growth_curve", "heritability_index",
-    "kernel_backend", "localize_nodes", "mst_from_connectivity",
-    "pearson_correlation_matrix", "permutation_test",
-    "run_combinatorial_trial", "run_experiment", "simulate_modular_data",
+    "TwinCohort", "TwinMap", "ValidationError", "WeightMode", "all_splits",
+    "compare_msts", "discrepancy", "exact_pvalue", "growth_curve",
+    "heritability_index", "kernel_backend", "localize_nodes",
+    "mst_from_connectivity", "pearson_correlation_matrix",
+    "permutation_test", "run_combinatorial_trial", "run_experiment",
+    "sampled_relabelings", "simulate_modular_data",
     "simulate_modular_pair", "spearman_correlation",
     "twin_edgewise_correlation",
 ]

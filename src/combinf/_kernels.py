@@ -8,15 +8,15 @@ definition of the statistic: ``mst_weights`` (data -> column
 ``discrepancies`` (two rows of weights in any order -> D_q, the smallest
 merged value attaining it, and whether the rows share a value, which it
 absorbs); its merged argsort is the one ordering of weights.
-``permutation_null`` chains them over chunks of relabelings, all in two
-buffers it allocates once (for ``simulation.permutation_test``, whose
-relabeling 0 is the observed split),
-``simulation.observed_discrepancy`` over one pair of groups (for the exact
-trial), and ``exact.discrepancy`` calls ``discrepancies`` alone, the one
-place that reports ties (``ties_absorbed``); ``mst.mst_from_connectivity``
-calls ``prim_keys`` on edge ranks and
-``connectivity.pearson_correlation_matrix`` calls ``correlations``. All
-kernels are plain numpy.
+``permutation_null`` chains them over chunks of a listing of relabelings,
+all in two buffers it allocates once (for ``simulation.permutation_test``,
+whose relabeling 0 is the observed split).
+``simulation.run_combinatorial_trial`` takes each group's ``mst_weights``
+to ``mst.compare_msts``, and so to ``exact.discrepancy``, which calls
+``discrepancies`` alone, the one place that reports ties
+(``ties_absorbed``). ``mst.mst_from_connectivity`` calls ``prim_keys`` on
+edge ranks and ``connectivity.pearson_correlation_matrix`` calls
+``correlations``. All kernels are plain numpy.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 from dataclasses import dataclass
@@ -97,9 +98,28 @@ def _read_table(path):
                                else lines[reader.line_num:])
         if values is None:
             rows += filter(None, reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as err:
+    except UnicodeDecodeError as err:
+        raise DataError(f"cannot read {path}: {_decode_error(path, err)}") from err
+    except (OSError, csv.Error) as err:
         raise DataError(f"cannot read {path}: {err}") from err
     return labels, _parse_rows(path, rows) if values is None else values
+
+
+def _decode_error(path, err):
+    """err as one decode of the whole file reports it: the text wrapper
+    counts the position within its 8 KiB read chunk, one decode from the
+    start of the file, or from after a leading byte-order mark, which the
+    message then says. Only this error path reads the bytes again."""
+    try:
+        data = path.read_bytes()
+        data.decode("utf-8-sig")
+    except UnicodeDecodeError as whole:
+        if data.startswith(codecs.BOM_UTF8):
+            return f"{whole} (position counted after the byte-order mark)"
+        return whole
+    except OSError:
+        pass
+    return err
 
 
 def _parse_rows(path, rows):
@@ -241,15 +261,18 @@ class CohortManifest:
         base = path.parent
         pairs = []
         for k, item in enumerate(raw_pairs):
-            if not (isinstance(item, dict)
-                    and all(isinstance(item.get(key), str) for key in "ab")):
-                raise DataError(
-                    f"{path}: pairs[{k}] must have 'a' and 'b' path strings")
+            # an empty path would name the manifest's own directory
+            if not (isinstance(item, dict) and all(
+                    isinstance(item.get(key), str) and item[key] for key in "ab")):
+                raise DataError(f"{path}: pairs[{k}] must have 'a' and 'b' "
+                                "non-empty path strings")
             pairs.append((base / item["a"], base / item["b"]))
         labels_from = doc.get("labels_from")
-        if labels_from is not None and not isinstance(labels_from, str):
-            raise DataError(f"{path}: 'labels_from' must be a path string")
-        labels_from = base / labels_from if labels_from else None
+        if labels_from is not None and not (isinstance(labels_from, str)
+                                            and labels_from):
+            raise DataError(
+                f"{path}: 'labels_from' must be a non-empty path string")
+        labels_from = None if labels_from is None else base / labels_from
         return cls(pairs=tuple(pairs), labels_from=labels_from)
 
     def load_cohort(self) -> TwinCohort:

@@ -1,5 +1,5 @@
-"""Block-modular random network simulation and the permutation test, drawn
-or over every split, as the baseline for the exact combinatorial test."""
+"""Block-modular random network simulation and the permutation test over
+drawn or listed relabelings, the baseline for the exact combinatorial test."""
 
 from __future__ import annotations
 
@@ -13,13 +13,13 @@ from ._lazy import np
 from . import _kernels
 from .connectivity import DataMatrix
 from .errors import ValidationError
-from .exact import exact_pvalue
+from .mst import compare_msts
 
 DEFAULT_PAIRINGS = ((0, 0), (4, 4), (4, 5), (4, 8), (5, 10))
-# Most relabeling indices one permutation fraction may ask for. The sampled
-# test holds 2n int64 indices per relabeling, so at most 32 MiB, shuffled in
-# place: the peak rises by that array alone (measured at n = 10, 11 and 100).
-# At n = 10 this admits all C(20, 10) = 184,756 relabelings.
+# Most relabeling indices one permutation fraction may ask for. A listing
+# holds 2n int64 indices per relabeling, so at most 32 MiB, drawn in place;
+# permutation_test checks it in a bool array an eighth its size (4.0 MiB more
+# at n = 11). At n = 10 this admits all C(20, 10) = 184,756 relabelings.
 MAX_RELABELING_INDICES = 2 ** 22
 
 # Weight modes for the simulation statistic: "correlation" builds the MST on
@@ -285,93 +285,88 @@ def simulate_modular_pair(n: int, p: int, k_a: int, k_b: int, sigma: float,
     return DataMatrix(values=y_a), DataMatrix(values=y_b)
 
 
-def _one_minus_flag(weight_mode: str) -> bool:
+def _one_minus_flag(group_a: DataMatrix, group_b: DataMatrix,
+                    weight_mode: str) -> bool:
+    """Whether MSTs are built on 1 - correlation, for groups of equal p."""
+    if group_a.p != group_b.p:
+        raise ValidationError(
+            f"groups differ in node count: {group_a.p} vs {group_b.p}")
     if weight_mode not in WEIGHT_MODES:
         raise ValidationError(
             f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
     return weight_mode == "one_minus"
 
 
-def _check_node_counts(group_a: DataMatrix, group_b: DataMatrix) -> None:
-    if group_a.p != group_b.p:
-        raise ValidationError(
-            f"groups differ in node count: {group_a.p} vs {group_b.p}")
-
-
-def observed_discrepancy(group_a: DataMatrix, group_b: DataMatrix,
-                         weight_mode: str = "one_minus") -> int:
-    """Max step-function gap between the two groups' correlation-MST weight
-    sequences: the exact trial's statistic, bit for bit the D of
-    relabeling 0 in ``permutation_test``. The groups may differ in n. A
-    column that is constant within a group raises ValidationError naming
-    it."""
-    _check_node_counts(group_a, group_b)
-    one_minus = _one_minus_flag(weight_mode)
+def run_combinatorial_trial(group_a: DataMatrix, group_b: DataMatrix,
+                            weight_mode: str = "one_minus") -> float:
+    """Exact p-value for the MST shape difference between two groups: each
+    group's correlation-MST weights compared by ``compare_msts``, the route
+    of ``combinf compare``. The groups may differ in n. A column that is
+    constant within a group raises ValidationError naming it."""
+    one_minus = _one_minus_flag(group_a, group_b, weight_mode)
 
     def weights(group, name):
         return _kernels.mst_weights(
             group.values[None], one_minus,
-            lambda k, j: f"column {j} is constant in group {name}")
-    d, _, _ = _kernels.discrepancies(weights(group_a, "A"), weights(group_b, "B"))
-    return int(d[0])
+            lambda k, j: f"column {j} is constant in group {name}")[0]
+    return float(compare_msts(weights(group_a, "A"), weights(group_b, "B"))[1])
 
 
-def run_combinatorial_trial(group_a: DataMatrix, group_b: DataMatrix,
-                            weight_mode: str = "one_minus") -> float:
-    """Exact p-value for the MST shape difference between two groups: the
-    exact null of their ``observed_discrepancy``."""
-    d = observed_discrepancy(group_a, group_b, weight_mode)
-    return float(exact_pvalue(group_a.p - 1, d))
+def sampled_relabelings(n: int, count: int, stream: RngStream) -> np.ndarray:
+    """The identity, then ``count`` relabelings of 2n rows drawn from
+    ``stream``, each as ``rng.permutation(2n)`` would."""
+    if count < 1:
+        raise ValidationError(f"need at least 1 permutation, got {count}")
+    perms = np.tile(np.arange(2 * n, dtype=np.int64), (count + 1, 1))
+    rows = perms[1:]
+    stream.generator().permuted(rows, axis=1, out=rows)
+    return perms
 
 
-def permutation_test(group_a: DataMatrix, group_b: DataMatrix,
-                     num_permutations: int, stream: RngStream,
+def all_splits(n: int) -> np.ndarray:
+    """The identity, then every split of 2n rows into two groups of n. D is
+    symmetric in the two groups, so the C(2n, n) / 2 splits with row 0 in
+    group A are listed once each, in lexicographic order; the first is the
+    identity again, which keeps the p-value exact over every split."""
+    count = math.comb(2 * n, n) // 2 + 1
+    rest = np.fromiter(
+        chain(range(1, n),
+              chain.from_iterable(combinations(range(1, 2 * n), n - 1))),
+        dtype=np.int64, count=count * (n - 1)).reshape(count, n - 1)
+    in_a = np.zeros((count, 2 * n), dtype=bool)
+    in_a[:, 0] = True
+    np.put_along_axis(in_a, rest, True, axis=1)
+    return np.argsort(~in_a, axis=1, kind="stable")
+
+
+def permutation_test(group_a: DataMatrix, group_b: DataMatrix, relabelings,
                      add_one: bool = False,
                      weight_mode: str = "one_minus") -> float:
-    """Permutation baseline: relabel the pooled 2n rows into two groups of
-    n, recompute correlations, MSTs, and the discrepancy each time.
-
-    Relabeling 0 is the observed split, so its D is D_obs. Fewer than
-    C(2n, n) relabelings are drawn from ``stream``, each as
-    ``rng.permutation(2n)`` would, after relabeling 0. At least C(2n, n)
-    means every split: D is symmetric in the two groups, so the
-    C(2n, n) / 2 splits with row 0 in group A are listed once, in
-    lexicographic order, and the first is relabeling 0. The p-value is the
-    proportion #{D* >= D_obs} / N of the N drawn or listed relabelings;
-    ``add_one`` gives (count + 1) / (N + 1) instead.
-    """
+    """Permutation p-value of D over relabelings of the pooled 2n rows, as
+    listed by ``sampled_relabelings`` or ``all_splits``: each row permutes
+    0..2n-1 and its first n entries form group A; row 0 is the identity, the
+    observed split, whose D is D_obs. The p-value is #{D* >= D_obs} / N over
+    rows 1..N; ``add_one`` gives (count + 1) / (N + 1) instead."""
     if group_a.n != group_b.n:
-        raise ValidationError(
-            f"permutation test needs groups of equal n, got {group_a.n} "
-            f"and {group_b.n}")
-    _check_node_counts(group_a, group_b)
-    if num_permutations < 1:
-        raise ValidationError(
-            f"need at least 1 permutation, got {num_permutations}")
-    n = group_a.n
-    one_minus = _one_minus_flag(weight_mode)
-    pooled = np.vstack([group_a.values, group_b.values])
-    splits = math.comb(2 * n, n) // 2
-    listed = num_permutations >= 2 * splits
-    if listed:
-        rest = np.fromiter(
-            chain.from_iterable(combinations(range(1, 2 * n), n - 1)),
-            dtype=np.int64, count=splits * (n - 1)).reshape(splits, n - 1)
-        in_a = np.zeros((splits, 2 * n), dtype=bool)
-        in_a[:, 0] = True
-        np.put_along_axis(in_a, rest, True, axis=1)
-        perms = np.argsort(~in_a, axis=1, kind="stable")
-    else:
-        perms = np.tile(np.arange(2 * n, dtype=np.int64),
-                        (num_permutations + 1, 1))
-        rows = perms[1:]
-        stream.generator().permuted(rows, axis=1, out=rows)
-    null = _kernels.permutation_null(pooled, perms, one_minus)
-    counted = null if listed else null[1:]
-    hits = int(np.count_nonzero(counted >= null[0]))
-    if add_one:
-        return (hits + 1) / (counted.size + 1)
-    return hits / counted.size
+        raise ValidationError(f"permutation test needs groups of equal n, "
+                              f"got {group_a.n} and {group_b.n}")
+    one_minus = _one_minus_flag(group_a, group_b, weight_mode)
+    perms, n2 = np.asarray(relabelings), 2 * group_a.n
+    if (perms.ndim != 2 or len(perms) < 2 or perms.shape[1] != n2
+            or perms.dtype.kind not in "iu"):
+        raise ValidationError(f"relabelings must be integers, at least 2 rows "
+                              f"of {n2}, got {perms.dtype} {perms.shape}")
+    seen = np.zeros(perms.shape, dtype=bool)
+    if perms.min() >= 0 and perms.max() < n2:
+        # each row marks its n2 entries: all are marked iff it repeats none
+        np.put_along_axis(seen, perms, True, axis=1)
+    if not seen.all() or (perms[0] != np.arange(n2)).any():
+        raise ValidationError(f"each relabeling must permute 0..{n2 - 1}, and "
+                              "relabeling 0 be the identity, the observed split")
+    null = _kernels.permutation_null(
+        np.vstack([group_a.values, group_b.values]), perms, one_minus)
+    hits = int(np.count_nonzero(null[1:] >= null[0]))
+    return (hits + 1) / null.size if add_one else hits / (null.size - 1)
 
 
 def permutation_count(fraction: float, n: int) -> int:
@@ -401,10 +396,13 @@ def run_experiment(cfg: SimulationConfig, progress=None) -> ExperimentReport:
             cell["combinatorial"].append(
                 run_combinatorial_trial(data_a, data_b, cfg.weight_mode))
             for fi, frac in enumerate(cfg.permutation_fractions):
+                count = permutation_count(frac, cfg.n)
+                relabelings = (
+                    all_splits(cfg.n) if count >= math.comb(2 * cfg.n, cfg.n)
+                    else sampled_relabelings(
+                        cfg.n, count, RngStream(cfg.seed, base + 1 + fi)))
                 cell[_method_label(frac)].append(permutation_test(
-                    data_a, data_b, permutation_count(frac, cfg.n),
-                    RngStream(cfg.seed, base + 1 + fi),
-                    weight_mode=cfg.weight_mode))
+                    data_a, data_b, relabelings, weight_mode=cfg.weight_mode))
             if progress is not None:
                 progress(label, r + 1, cfg.replications)
         pvalues[label] = cell

@@ -938,6 +938,41 @@ class TestCliDataErrors:
         assert self.heritability(path, tmp_path) == 2
         assert f"{path}: pairs[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["a", "b", "labels_from"])
+    def test_empty_path_exit_2(self, rng, tmp_path, capsys, key):
+        # "" would name the manifest's directory, or drop the label check
+        path = self.manifest(rng, tmp_path)
+        doc = json.loads(path.read_text())
+        if key == "labels_from":
+            doc["labels_from"] = ""
+            named = "'labels_from' must be a non-empty path string"
+        else:
+            doc["pairs"][2][key] = ""
+            named = "pairs[2] must have 'a' and 'b' non-empty path strings"
+        path.write_text(json.dumps(doc))
+        assert self.heritability(path, tmp_path) == 2
+        assert capsys.readouterr() == ("", f"data error: {path}: {named}\n")
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_decode_error_names_the_file_offset(self, tmp_path, capsys, bom):
+        # The text wrapper decodes 8 KiB at a time and counts the position
+        # within that chunk; the report counts it from the start of the file,
+        # or after the byte-order mark.
+        labels = [f"v{i}" for i in range(90)]
+        body = "\n".join(",".join(["0.123456789"] * 90) for _ in labels)
+        data = bytearray(bom + (",".join(labels) + "\n" + body + "\n").encode())
+        at = len(data) - 5
+        data[at] = 0xFF
+        assert len(data) > 8 * 8192
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data)
+        assert cli.main(["compare", str(bad), str(bad)]) == 2
+        pos = at - len(bom)
+        after = " (position counted after the byte-order mark)" if bom else ""
+        assert capsys.readouterr() == ("", (
+            f"data error: cannot read {bad}: 'utf-8' codec can't decode byte "
+            f"0xff in position {pos}: invalid start byte{after}\n"))
+
     def test_labels_from_header_conflict_exit_2(self, rng, tmp_path, capsys):
         labels_path = tmp_path / "labels.csv"
         write_matrix_csv(random_corr(rng, ("a", "b", "c", "d")), labels_path)

@@ -8,7 +8,7 @@ import pytest
 from combinf import simulation as sim
 from combinf.connectivity import DataMatrix, pearson_correlation_matrix
 from combinf.errors import ValidationError
-from combinf.exact import exact_pvalue
+from combinf.exact import discrepancy, exact_pvalue
 from combinf.mst import WeightMode, compare_msts, mst_from_connectivity
 
 
@@ -24,6 +24,17 @@ def record_nulls(monkeypatch):
 
     monkeypatch.setattr(sim._kernels, "permutation_null", record)
     return seen
+
+
+def library_discrepancy(a, b, mode):
+    """D of two groups by the library route: pearson_correlation_matrix ->
+    mst_from_connectivity -> exact.discrepancy, which shares with the
+    permutation null only the correlations and the discrepancy kernel."""
+    weight_mode = (WeightMode.ONE_MINUS_SIMILARITY if mode == "one_minus"
+                   else WeightMode.DISTANCE)
+    wa, wb = (mst_from_connectivity(pearson_correlation_matrix(g),
+                                    weight_mode).weights for g in (a, b))
+    return discrepancy(wa, wb).d
 
 
 class TestRngStream:
@@ -146,14 +157,14 @@ class TestCombinatorialTrial:
         data = sim.simulate_modular_data(10, 20, 4, 0.1, sim.RngStream(5, 0))
         assert sim.run_combinatorial_trial(data, data) == 1.0
 
-    def test_observed_discrepancy_matches_high_level(self):
+    def test_trial_matches_the_library_route(self):
         # At sigma = 0 the columns within a module are bit-identical, so
         # their one_minus weights are exact zeros in both groups.
         for sigma in (0.0, 0.1):
             a, b = sim.simulate_modular_pair(10, 40, 4, 5, sigma,
                                              sim.RngStream(9, 0))
             for mode in sim.WEIGHT_MODES:
-                d = sim.observed_discrepancy(a, b, mode)
+                d = library_discrepancy(a, b, mode)
                 assert (sim.run_combinatorial_trial(a, b, mode)
                         == float(exact_pvalue(39, d))), (sigma, mode)
 
@@ -178,6 +189,14 @@ class TestCombinatorialTrial:
             sim.run_combinatorial_trial(DataMatrix(a), DataMatrix(b))
 
 
+def listing(n, count, stream):
+    """The listing run_experiment builds for count relabelings: every split
+    from C(2n, n) on, else count drawn from stream."""
+    if count >= math.comb(2 * n, n):
+        return sim.all_splits(n)
+    return sim.sampled_relabelings(n, count, stream)
+
+
 class TestPermutationTest:
     def test_permutation_count(self):
         assert sim.permutation_count(0.001, 10) == 184
@@ -186,63 +205,75 @@ class TestPermutationTest:
         assert sim.permutation_count(1e-9, 10) == 1
 
     def test_request_past_every_split_lists_them_all(self, monkeypatch):
-        # D is symmetric in the two groups: the C(6, 3) / 2 splits with row
-        # 0 in group A, once each, whatever the request past C(6, 3).
-        a = sim.simulate_modular_data(3, 6, 2, 0.1, sim.RngStream(8, 0))
-        b = sim.simulate_modular_data(3, 6, 3, 0.1, sim.RngStream(8, 1))
-        seen = record_nulls(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pv = sim.permutation_test(a, b, 10 ** 6, sim.RngStream(8, 2))
-        assert pv == sim.permutation_test(a, b, 20, sim.RngStream(8, 2))
-        splits = [set(row[:3]) for row in seen[0][0]]
+        # D is symmetric in the two groups: after the identity, the C(6, 3)
+        # / 2 splits with row 0 in group A, once each, in lexicographic
+        # order, the first being the identity again.
+        perms = sim.all_splits(3)
+        assert perms.dtype == np.int64 and perms.shape == (11, 6)
+        assert np.array_equal(perms[0], np.arange(6))
+        assert np.array_equal(perms[1], np.arange(6))
+        assert (np.sort(perms, axis=1) == np.arange(6)).all()
+        splits = [set(row[:3]) for row in perms[1:]]
         assert len(splits) == 10 and all(0 in split for split in splits)
         assert splits == sorted(splits, key=sorted)
         assert len({frozenset(split) for split in splits}) == 10
+        # run_experiment lists every split from fraction 1 on, and draws
+        # C(6, 3) - 1 = 19 relabelings at fraction 0.97
+        seen = record_nulls(monkeypatch)
+        cfg = sim.SimulationConfig(seed=8, n=3, p=6, replications=1,
+                                   permutation_fractions=(1.0, 0.97),
+                                   pairings=((2, 3),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pv = sim.run_experiment(cfg).pvalues["2 vs 3"]["permute_100%"][0]
+        assert np.array_equal(seen[0][0], perms)
+        assert seen[1][0].shape == (20, 6)
         assert 0.0 <= pv <= 1.0
 
     def test_every_split_is_reproducible_and_exact(self):
         a = sim.simulate_modular_data(4, 6, 2, 0.1, sim.RngStream(8, 3))
         b = sim.simulate_modular_data(4, 6, 3, 0.1, sim.RngStream(8, 4))
-        cap = math.comb(8, 4)
-        p1 = sim.permutation_test(a, b, cap, sim.RngStream(8, 5))
-        p2 = sim.permutation_test(a, b, cap, sim.RngStream(99, 6))
+        assert np.array_equal(sim.all_splits(4), sim.all_splits(4))
+        p1 = sim.permutation_test(a, b, sim.all_splits(4))
+        p2 = sim.permutation_test(a, b, sim.all_splits(4))
         assert p1 == p2
         assert 0.0 < p1 <= 1.0
         # add_one counts the C(8, 4) / 2 listed splits
-        assert sim.permutation_test(a, b, cap, sim.RngStream(8, 5),
+        assert sim.permutation_test(a, b, sim.all_splits(4),
                                     add_one=True) == (p1 * 35 + 1) / 36
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("mode", sim.WEIGHT_MODES)
     def test_every_split_matches_the_full_listing(self, n, mode):
         # Oracle: each of the C(2n, n) splits of the pooled rows, both halves
-        # of the symmetric null, scored alone by observed_discrepancy.
+        # of the symmetric null, scored alone by the library route.
         a, b = sim.simulate_modular_pair(n, 6, 2, 3, 0.1, sim.RngStream(8, n))
         pooled = np.vstack([a.values, b.values])
-        d_obs = sim.observed_discrepancy(a, b, mode)
+        d_obs = library_discrepancy(a, b, mode)
         hits = 0
         for sel in combinations(range(2 * n), n):
             rest = [i for i in range(2 * n) if i not in sel]
-            hits += sim.observed_discrepancy(
+            hits += library_discrepancy(
                 DataMatrix(pooled[list(sel)]), DataMatrix(pooled[rest]),
                 mode) >= d_obs
         cap = math.comb(2 * n, n)
         for count, stream in ((cap, sim.RngStream(1, 0)),
                               (cap + 5, sim.RngStream(2, 7))):
-            assert sim.permutation_test(a, b, count, stream,
+            assert sim.permutation_test(a, b, listing(n, count, stream),
                                         weight_mode=mode) == hits / cap
 
     def test_identical_groups_give_one(self):
         a = sim.simulate_modular_data(4, 6, 2, 0.1, sim.RngStream(8, 7))
-        pv = sim.permutation_test(a, a, 50, sim.RngStream(8, 8))
+        pv = sim.permutation_test(
+            a, a, sim.sampled_relabelings(4, 50, sim.RngStream(8, 8)))
         assert pv == 1.0
 
     def test_add_one_correction(self):
         a = sim.simulate_modular_data(4, 6, 2, 0.1, sim.RngStream(8, 9))
         b = sim.simulate_modular_data(4, 6, 3, 0.1, sim.RngStream(8, 10))
-        plain = sim.permutation_test(a, b, 40, sim.RngStream(8, 11))
-        corrected = sim.permutation_test(a, b, 40, sim.RngStream(8, 11), add_one=True)
+        perms = sim.sampled_relabelings(4, 40, sim.RngStream(8, 11))
+        plain = sim.permutation_test(a, b, perms)
+        corrected = sim.permutation_test(a, b, perms, add_one=True)
         assert corrected == pytest.approx((plain * 40 + 1) / 41)
 
     @pytest.mark.parametrize("k", [0, 2])
@@ -258,23 +289,24 @@ class TestPermutationTest:
                                               sim.RngStream(61, 3 * t + s))
                     for s in (0, 1))
             rejected += sim.permutation_test(
-                a, b, 99, sim.RngStream(61, 3 * t + 2), add_one=True,
-                weight_mode=mode) <= alpha
+                a, b, sim.sampled_relabelings(6, 99, sim.RngStream(61, 3 * t + 2)),
+                add_one=True, weight_mode=mode) <= alpha
         assert rejected / trials <= alpha + 3 * math.sqrt(
             alpha * (1 - alpha) / trials)
 
     def test_constant_column_in_a_relabeling_is_named(self):
         # Column 0 is not constant in either observed group, but the split
-        # {0, 1, 5} | {2, 3, 4}, the fourth listed, makes it constant in both.
+        # {0, 1, 5} | {2, 3, 4}, the fourth listed split and relabeling 4
+        # after the identity, makes it constant in both.
         rng = np.random.default_rng(33)
         a = rng.standard_normal((3, 5))
         b = rng.standard_normal((3, 5))
         a[:, 0] = [0.0, 0.0, 1.0]
         b[:, 0] = [1.0, 1.0, 0.0]
         with pytest.raises(ValidationError,
-                           match="relabeling 3: column 0 is constant in group A"):
-            sim.permutation_test(DataMatrix(a), DataMatrix(b), 20,
-                                 sim.RngStream(8, 17))
+                           match="relabeling 4: column 0 is constant in group A"):
+            sim.permutation_test(DataMatrix(a), DataMatrix(b),
+                                 sim.all_splits(3))
 
     @pytest.mark.parametrize("group", ["A", "B"])
     @pytest.mark.parametrize("count", [5, 20])
@@ -289,47 +321,76 @@ class TestPermutationTest:
         with pytest.raises(ValidationError, match=(
                 f"relabeling 0: column 2 is constant in group {group}")):
             sim.permutation_test(DataMatrix(groups["A"]),
-                                 DataMatrix(groups["B"]), count,
-                                 sim.RngStream(8, 24))
+                                 DataMatrix(groups["B"]),
+                                 listing(3, count, sim.RngStream(8, 24)))
 
     def test_relabelings_are_the_per_row_permutation_stream(self, monkeypatch):
         # Relabeling 0 is the observed split; the drawn relabelings after it
         # are the rows that rng.permutation(2n), called once per relabeling,
-        # draws from the test's stream.
+        # draws from the stream, and permutation_test scores them as given.
         a = sim.simulate_modular_data(5, 6, 2, 0.1, sim.RngStream(8, 21))
         b = sim.simulate_modular_data(5, 6, 3, 0.1, sim.RngStream(8, 22))
-        seen = record_nulls(monkeypatch)
-        sim.permutation_test(a, b, 37, sim.RngStream(8, 23))
+        perms = sim.sampled_relabelings(5, 37, sim.RngStream(8, 23))
         rng = sim.RngStream(8, 23).generator()
         want = np.array([rng.permutation(10) for _ in range(37)])
-        perms, _ = seen[0]
         assert perms.dtype == np.int64
         assert np.array_equal(perms[0], np.arange(10))
         assert np.array_equal(perms[1:], want)
+        seen = record_nulls(monkeypatch)
+        sim.permutation_test(a, b, perms)
+        assert np.array_equal(seen[0][0], perms)
 
-    def test_observed_split_is_scored_as_observed_discrepancy(self,
-                                                              monkeypatch):
+    def test_observed_split_is_scored_as_the_library_route(self, monkeypatch):
         a, b = sim.simulate_modular_pair(6, 12, 3, 4, 0.1, sim.RngStream(8, 25))
         seen = record_nulls(monkeypatch)
         for mode in sim.WEIGHT_MODES:
-            sim.permutation_test(a, b, 30, sim.RngStream(8, 26),
-                                 weight_mode=mode)
-            assert seen[-1][1][0] == sim.observed_discrepancy(a, b, mode)
+            sim.permutation_test(
+                a, b, sim.sampled_relabelings(6, 30, sim.RngStream(8, 26)),
+                weight_mode=mode)
+            assert seen[-1][1][0] == library_discrepancy(a, b, mode)
 
     def test_unequal_n_rejected(self):
         # The exact trial takes groups of any n; relabeling needs equal n.
         a = sim.simulate_modular_data(4, 6, 2, 0.1, sim.RngStream(8, 18))
         b = sim.simulate_modular_data(5, 6, 3, 0.1, sim.RngStream(8, 19))
+        perms = sim.sampled_relabelings(4, 20, sim.RngStream(8, 20))
         with pytest.raises(ValidationError, match="equal n, got 4 and 5"):
-            sim.permutation_test(a, b, 20, sim.RngStream(8, 20))
+            sim.permutation_test(a, b, perms)
         c = sim.simulate_modular_data(4, 8, 2, 0.1, sim.RngStream(8, 27))
         with pytest.raises(ValidationError, match="node count: 6 vs 8"):
-            sim.permutation_test(a, c, 20, sim.RngStream(8, 20))
+            sim.permutation_test(a, c, perms)
 
     def test_too_few_permutations_rejected(self):
-        a = sim.simulate_modular_data(3, 6, 2, 0.1, sim.RngStream(8, 15))
         with pytest.raises(ValidationError):
-            sim.permutation_test(a, a, 0, sim.RngStream(8, 16))
+            sim.sampled_relabelings(3, 0, sim.RngStream(8, 16))
+
+    @pytest.mark.parametrize("case", [
+        "single_row", "wide", "narrow", "float", "row_0_not_identity",
+        "repeated_index", "index_past_2n", "negative_index"])
+    def test_malformed_listing_rejected(self, case):
+        a = sim.simulate_modular_data(3, 6, 2, 0.1, sim.RngStream(8, 28))
+        b = sim.simulate_modular_data(3, 6, 3, 0.1, sim.RngStream(8, 29))
+        perms = sim.sampled_relabelings(3, 4, sim.RngStream(8, 30))
+        sim.permutation_test(a, b, perms)  # the well-formed listing is scored
+        bad = {"single_row": perms[:1],
+               "wide": np.hstack([perms, perms[:, :1]]),
+               "narrow": perms[:, 1:],
+               "float": perms.astype(np.float64),
+               "row_0_not_identity": perms[1:]}.get(case, perms.copy())
+        if case == "repeated_index":
+            bad[2, 3] = bad[2, 4]
+        elif case == "index_past_2n":
+            bad[3, 0] = 6
+        elif case == "negative_index":
+            # it would wrap around to 0, the entry it replaces, so an index
+            # check alone would take the row for a permutation
+            bad[3, 0] = -6
+        shape = case in ("single_row", "wide", "narrow", "float")
+        with pytest.raises(ValidationError, match=(
+                "relabelings must be integers, at least 2 rows of 6" if shape
+                else r"each relabeling must permute 0\.\.5, and relabeling 0 "
+                     "be the identity")):
+            sim.permutation_test(a, b, bad)
 
 
 class TestExperiment:
@@ -372,21 +433,25 @@ class TestExperiment:
     def test_cells_match_the_public_trial_functions(self):
         # Each cell is the public function's p-value on the trial's stream
         # indices: data on stream base, fraction fi on stream base + 1 + fi.
-        cfg = sim.SimulationConfig(**{**self.CFG, "permutation_fractions": (0.05, 0.1)})
+        # Fraction 1 lists every split, from no stream.
+        cfg = sim.SimulationConfig(
+            **{**self.CFG, "permutation_fractions": (0.05, 0.1, 1.0)})
         report = sim.run_experiment(cfg)
         for g, (ka, kb) in enumerate(cfg.pairings):
             cell = report.pvalues[f"{ka} vs {kb}"]
             for r in range(cfg.replications):
-                base = (g * cfg.replications + r) * 3
+                base = (g * cfg.replications + r) * 4
                 a, b = sim.simulate_modular_pair(cfg.n, cfg.p, ka, kb, cfg.sigma,
                                                  sim.RngStream(cfg.seed, base))
                 assert cell["combinatorial"][r] == sim.run_combinatorial_trial(
                     a, b, cfg.weight_mode)
                 for fi, frac in enumerate(cfg.permutation_fractions):
+                    perms = (sim.all_splits(cfg.n) if frac == 1.0
+                             else sim.sampled_relabelings(
+                                 cfg.n, sim.permutation_count(frac, cfg.n),
+                                 sim.RngStream(cfg.seed, base + 1 + fi)))
                     assert cell[f"permute_{frac * 100:g}%"][r] == sim.permutation_test(
-                        a, b, sim.permutation_count(frac, cfg.n),
-                        sim.RngStream(cfg.seed, base + 1 + fi),
-                        weight_mode=cfg.weight_mode)
+                        a, b, perms, weight_mode=cfg.weight_mode)
 
     def test_single_replication_zero_std(self):
         cfg = sim.SimulationConfig(**{**self.CFG, "replications": 1})
