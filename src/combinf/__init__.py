@@ -9,7 +9,6 @@ from .connectivity import (
     TwinMap,
     heritability_index,
     pearson_correlation_matrix,
-    spearman_correlation,
     twin_edgewise_correlation,
 )
 from .errors import DataError, ValidationError
@@ -46,6 +45,5 @@ __all__ = [
     "mst_from_connectivity", "pearson_correlation_matrix",
     "permutation_test", "run_combinatorial_trial", "run_experiment",
     "sampled_relabelings", "simulate_modular_data",
-    "simulate_modular_pair", "spearman_correlation",
-    "twin_edgewise_correlation",
+    "simulate_modular_pair", "twin_edgewise_correlation",
 ]

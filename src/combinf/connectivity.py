@@ -162,25 +162,6 @@ def _midrank_pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                                            * (rb * rb).sum(axis=0))
 
 
-def spearman_correlation(a, b) -> float:
-    """Pearson correlation of midranks (average ranks on ties) of two finite
-    vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValidationError(f"vectors must be 1-D of equal length, got {a.shape} and {b.shape}")
-    for name, v in (("a", a), ("b", b)):
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            j = bad[0]
-            raise ValidationError(f"{name} must be finite: {name}[{j}]={float(v[j])!r}")
-    if a.size < 3:
-        raise ValidationError(f"need at least 3 points, got {a.size}")
-    if np.all(a == a[0]) or np.all(b == b[0]):
-        raise ValidationError("spearman correlation undefined for constant vector")
-    return float(_midrank_pearson(a[:, None], b[:, None])[0])
-
-
 class TwinMap(NamedTuple):
     """A cohort's edgewise twin correlations, and its degenerate edges: those
     constant across pairs on either side, whose correlation is undefined and

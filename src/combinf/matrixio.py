@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +16,7 @@ from .errors import DataError, ValidationError
 
 # ASCII separators that numpy's float parser strips as whitespace and
 # float() rejects.
-_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+_NOT_FLOAT_SPACE = b"\x1c\x1d\x1e\x1f"
 
 
 def read_matrix_csv(path, labels=None) -> ConnectivityMatrix:
@@ -44,18 +45,19 @@ def read_matrix_csv(path, labels=None) -> ConnectivityMatrix:
 def write_matrix_csv(matrix, path) -> None:
     """Write a ConnectivityMatrix as CSV with full round-trip precision.
 
-    csv.writer writes each float by its repr. The values are exactly
-    symmetric, so the repr of each upper-triangle cell is made once and
-    mirrored: the bytes of formatting every cell, from half the
-    conversions."""
+    csv.writer writes the labels, which may need quoting. Each body row is
+    its floats' reprs joined by commas, the bytes csv.writer would write,
+    since a repr never needs quoting. The values are exactly symmetric, so
+    the repr of each upper-triangle cell is made once and mirrored: the
+    bytes of formatting every cell, from half the conversions."""
     p = matrix.p
     upper = matrix.values[~np.tri(p, k=-1, dtype=bool)]
     text = np.array(list(map(repr, upper.tolist())), dtype=object)
     try:
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(matrix.labels)
-            writer.writerows(_mirrored(text, p).tolist())
+            csv.writer(fh).writerow(matrix.labels)
+            fh.writelines(",".join(row) + "\r\n"
+                          for row in _mirrored(text, p).tolist())
     except OSError as err:
         raise DataError(f"cannot write {path}: {err}") from err
 
@@ -79,47 +81,38 @@ def _header(row):
 def _read_table(path):
     """The header labels (or None) and the float64 values of a square CSV.
 
-    The file is opened and decoded once, a leading byte-order mark dropped,
-    and csv.reader reads its first non-empty row, the header when _header
-    says so. numpy's C parser reads the body's lines in one call when it
+    The file's bytes are read once and decoded in one call, a leading
+    byte-order mark dropped; a decode error then counts its position from
+    the start of the file, or from after the mark, which the message says.
+    The text is split into lines as a text file splits them, and csv.reader
+    reads its first non-empty row, the header when _header says so. numpy's
+    C parser reads the body, the end of the bytes read, in one call when it
     can; on any other body the same reader reads on, and _parse_rows
     diagnoses every error. The two routes give the same labels and value
     bytes."""
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
+        data = path.read_bytes()
+        bom = codecs.BOM_UTF8 if data.startswith(codecs.BOM_UTF8) else b""
+        text = data.decode("utf-8-sig")
+        lines = io.StringIO(text, newline="").readlines()
         reader = csv.reader(lines)
         first = next(filter(None, reader), None)
         if first is None:
             raise DataError(f"{path}: empty file")
         labels = _header(first)
+        head = 0 if labels is None else reader.line_num
         rows = [first] if labels is None else []
-        values = _loadtxt_body(lines if labels is None
-                               else lines[reader.line_num:])
+        # a header label may have more bytes than characters
+        start = len(bom) + len("".join(lines[:head]).encode())
+        values = _loadtxt_body(lines[head:], data[start:])
         if values is None:
             rows += filter(None, reader)
     except UnicodeDecodeError as err:
-        raise DataError(f"cannot read {path}: {_decode_error(path, err)}") from err
+        after = " (position counted after the byte-order mark)" if bom else ""
+        raise DataError(f"cannot read {path}: {err}{after}") from err
     except (OSError, csv.Error) as err:
         raise DataError(f"cannot read {path}: {err}") from err
     return labels, _parse_rows(path, rows) if values is None else values
-
-
-def _decode_error(path, err):
-    """err as one decode of the whole file reports it: the text wrapper
-    counts the position within its 8 KiB read chunk, one decode from the
-    start of the file, or from after a leading byte-order mark, which the
-    message then says. Only this error path reads the bytes again."""
-    try:
-        data = path.read_bytes()
-        data.decode("utf-8-sig")
-    except UnicodeDecodeError as whole:
-        if data.startswith(codecs.BOM_UTF8):
-            return f"{whole} (position counted after the byte-order mark)"
-        return whole
-    except OSError:
-        pass
-    return err
 
 
 def _parse_rows(path, rows):
@@ -144,9 +137,9 @@ def _parse_rows(path, rows):
     return values
 
 
-def _loadtxt_body(lines):
-    """The values of body lines that numpy's C parser reads exactly as the
-    csv route would, or None for any other body.
+def _loadtxt_body(lines, body):
+    """The values of body lines, whose bytes are body, that numpy's C parser
+    reads exactly as the csv route would, or None for any other body.
 
     np.loadtxt parses the lines in one call, with no str per cell, or only
     the upper triangle of a body whose mirrored tokens are the same bytes
@@ -156,7 +149,6 @@ def _loadtxt_body(lines):
     Left to the csv route: non-ASCII text, those four characters, a line
     longer than the csv field limit, a body with no rows (on which numpy
     warns), and a ragged or non-square body."""
-    body = "".join(lines)
     if (not body.isascii() or any(ch in body for ch in _NOT_FLOAT_SPACE)
             or not body.strip()
             or max(map(len, lines)) > csv.field_size_limit()):
@@ -174,7 +166,7 @@ def _loadtxt_body(lines):
 
 def _upper_triangle_line(body, lines):
     """Tokens (i, j), j >= i, of an ASCII body in row-major order, joined by
-    commas, when the body, the join of its p lines, has p comma-separated
+    commas, when the body, the bytes of its p lines, has p comma-separated
     tokens on each line, each line ended by '\\n' or '\\r\\n', and token
     (j, i) has the bytes of token (i, j) for every i < j; else None.
 
@@ -187,13 +179,12 @@ def _upper_triangle_line(body, lines):
     if p > 1 and (lines[0].rstrip("\r\n").split(",")[1:]
                   != [line[:line.find(",")] for line in lines[1:]]):
         return None
-    if "\r" in body:
+    if b"\r" in body:
         # numpy ends a line at "\r\n" as at "\n", and csv.writer writes it
-        body = body.replace("\r\n", "\n")
-    if not body.endswith("\n") or "\r" in body:
+        body = body.replace(b"\r\n", b"\n")
+    if not body.endswith(b"\n") or b"\r" in body:
         return None
-    data = body.encode("ascii")
-    raw = np.frombuffer(data, np.uint8)
+    raw = np.frombuffer(body, np.uint8)
     ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     # p newlines in all, so when each row's p-th separator is one, the
     # other separators are commas
@@ -217,12 +208,12 @@ def _upper_triangle_line(body, lines):
     for size, count in enumerate(np.bincount(sizes).tolist()):
         lo, hi = hi, hi + count
         if size and count:
-            tokens = np.ndarray((raw.size - size + 1,), f"V{size}", data, 0,
+            tokens = np.ndarray((raw.size - size + 1,), f"V{size}", body, 0,
                                 (1,))
             if tokens[below[lo:hi]].tobytes() != tokens[above[lo:hi]].tobytes():
                 return None
-    return ",".join(body[start:end] for start, end in
-                    zip(starts.diagonal().tolist(), ends[p - 1::p].tolist()))
+    return b",".join(body[start:end] for start, end in zip(
+        starts.diagonal().tolist(), ends[p - 1::p].tolist())).decode("ascii")
 
 
 def _mirrored(upper, p):

@@ -386,6 +386,11 @@ def run_experiment(cfg: SimulationConfig, progress=None) -> ExperimentReport:
                                    for f in cfg.permutation_fractions]
     pvalues = {}
     streams_per_trial = 1 + len(cfg.permutation_fractions)
+    every = math.comb(2 * cfg.n, cfg.n)
+    # one listing of every split serves each trial: it depends on n alone
+    splits = (all_splits(cfg.n) if any(permutation_count(f, cfg.n) >= every
+                                       for f in cfg.permutation_fractions)
+              else None)
     for g, (ka, kb) in enumerate(cfg.pairings):
         label = f"{ka} vs {kb}"
         cell = {m: [] for m in methods}
@@ -397,10 +402,10 @@ def run_experiment(cfg: SimulationConfig, progress=None) -> ExperimentReport:
                 run_combinatorial_trial(data_a, data_b, cfg.weight_mode))
             for fi, frac in enumerate(cfg.permutation_fractions):
                 count = permutation_count(frac, cfg.n)
-                relabelings = (
-                    all_splits(cfg.n) if count >= math.comb(2 * cfg.n, cfg.n)
-                    else sampled_relabelings(
-                        cfg.n, count, RngStream(cfg.seed, base + 1 + fi)))
+                relabelings = (splits if count >= every
+                               else sampled_relabelings(
+                                   cfg.n, count,
+                                   RngStream(cfg.seed, base + 1 + fi)))
                 cell[_method_label(frac)].append(permutation_test(
                     data_a, data_b, relabelings, weight_mode=cfg.weight_mode))
             if progress is not None:

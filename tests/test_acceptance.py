@@ -226,15 +226,25 @@ def test_criterion_9_property_suite():
                 <= set(mst.localize_nodes(fa, fb, center, r2))):
             failures += 1
 
-    # spearman rank-transform invariance
-    for _ in range(1000):
+    # twin map (edgewise Spearman) rank-transform invariance: 100 cohorts
+    # of 10 edges, each edge a case with its own map
+    iu = np.triu_indices(5, k=1)
+
+    def twin_map(a, b):
+        def matrix(upper):
+            values = np.eye(5)
+            values[iu] = values.T[iu] = upper
+            return c.ConnectivityMatrix(tuple("vwxyz"), values)
+        return c.twin_edgewise_correlation(c.TwinCohort(tuple(
+            (matrix(x), matrix(y)) for x, y in zip(a, b)))).correlation.values[iu]
+    for _ in range(100):
         n = int(rng.integers(4, 25))
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        f = maps[rng.integers(len(maps))]
-        if abs(c.spearman_correlation(f(x), y)
-               - c.spearman_correlation(x, y)) > 1e-12:
-            failures += 1
+        x = rng.standard_normal((n, 10))
+        y = rng.standard_normal((n, 10))
+        fx = np.column_stack([maps[k](x[:, e]) for e, k in
+                              enumerate(rng.integers(len(maps), size=10))])
+        failures += int(np.count_nonzero(
+            np.abs(twin_map(fx, y) - twin_map(x, y)) > 1e-12))
 
     report("criterion 9: property suite (1000 cases per property)",
            failures == 0, f"{failures} failures")

@@ -40,16 +40,22 @@ class TestMatrixCsv:
         assert back.labels == cm.labels
         assert np.array_equal(back.values, cm.values)
 
-    @pytest.mark.parametrize("values", [
-        [[1.0, -0.0], [0.0, 1.0]],
-        [[5e-324, 2.2e-308], [2.2e-308, -5e-324]],
-        [[0.1, -0.0, 1e300], [-0.0, 1 / 3, -2.5e-7], [1e300, -2.5e-7, 7.0]],
-    ], ids=["signed_zero_mirror", "subnormal", "symmetric"])
-    def test_writes_the_bytes_of_every_cell_formatted(self, tmp_path, values):
+    @pytest.mark.parametrize("labels, values", [
+        ("ab", [[1.0, -0.0], [0.0, 1.0]]),
+        ("ab", [[5e-324, 2.2e-308], [2.2e-308, -5e-324]]),
+        ("abc", [[0.1, -0.0, 1e300], [-0.0, 1 / 3, -2.5e-7],
+                 [1e300, -2.5e-7, 7.0]]),
+        (("a,b", 'q"'), [[1.0, -0.0], [0.0, 1.0]]),
+        (("a,b", 'q"', "c"), [[0.1, -0.0, 1e300], [-0.0, 1 / 3, -2.5e-7],
+                              [1e300, -2.5e-7, 7.0]]),
+    ], ids=["signed_zero_mirror", "subnormal", "symmetric", "quoted_labels",
+            "quoted_labels_symmetric"])
+    def test_writes_the_bytes_of_every_cell_formatted(self, tmp_path, labels,
+                                                      values):
         # A ConnectivityMatrix stores exactly symmetric values, whose
         # mirrored strings are made once; the bytes are those of csv.writer
-        # on every float.
-        matrix = ConnectivityMatrix(tuple("abc"[:len(values)]), values)
+        # on the labels, quoted where csv needs it, and on every float.
+        matrix = ConnectivityMatrix(tuple(labels), values)
         bits = matrix.values.view(np.uint64)
         assert (bits == bits.T).all()
         write_matrix_csv(matrix, tmp_path / "m.csv")
@@ -164,6 +170,8 @@ _ROUTE_CASES = {
     "blank_lines_before_header": ("\n\na,b\n1,0\n0,1\n", "upper", ("a", "b")),
     # a leading UTF-8 byte-order mark is dropped
     "bom_label": ("\ufeffa,b\n1,0\n0,1\n", "upper", ("a", "b")),
+    # the body's bytes start past a header of more bytes than characters
+    "non_ascii_label": ("\u00e9,b\n1,0\n0,1\n", "upper", ("\u00e9", "b")),
     "asymmetric": ("1,2\n3,1\n", "lines", "not symmetric"),
     "label_count": ("a,b,c\n1,0\n0,1\n", "upper", "3 labels for 2 nodes"),
     "hash_token": ("a,b\n1,#\n#,1\n", "csv", "cannot parse '#'"),
@@ -210,8 +218,8 @@ def _c_route(path, monkeypatch):
         upper.append(real_upper(body, lines))
         return upper[-1]
 
-    def body_spy(lines):
-        table.append(real_body(lines))
+    def body_spy(lines, body):
+        table.append(real_body(lines, body))
         return table[-1]
 
     with monkeypatch.context() as patch:
@@ -244,19 +252,25 @@ class TestMatrixCsvRoutes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _read_outcome(path)
-        monkeypatch.setattr(matrixio, "_loadtxt_body", lambda lines: None)
+        monkeypatch.setattr(matrixio, "_loadtxt_body",
+                            lambda lines, body: None)
         assert _read_outcome(path) == got
         if isinstance(expect, str):
             assert expect in got
         else:
             assert got[0] == expect
 
-    @pytest.mark.parametrize("case", ["byte_symmetric", "quoted_number"])
+    @pytest.mark.parametrize("case", ["byte_symmetric", "quoted_number",
+                                      "not_utf_8"])
     def test_reads_the_file_once(self, tmp_path, monkeypatch, case):
         # the C route reads byte_symmetric; the csv route reads on from the
-        # lines of the same open for quoted_number
+        # lines of the same open for quoted_number; the one decode of the
+        # bytes read reports where a file is not UTF-8
         path = tmp_path / "m.csv"
-        path.write_text(_ROUTE_CASES[case][0])
+        if case == "not_utf_8":
+            path.write_bytes(b"a,b\n1,\xff\n0,1\n")
+        else:
+            path.write_text(_ROUTE_CASES[case][0])
         opened = []
         real = Path.open
 
@@ -265,7 +279,14 @@ class TestMatrixCsvRoutes:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(Path, "open", spy)
-        assert read_matrix_csv(path).labels == _ROUTE_CASES[case][2]
+        if case == "not_utf_8":
+            with pytest.raises(DataError) as err:
+                read_matrix_csv(path)
+            assert str(err.value) == (
+                f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
+                "position 6: invalid start byte")
+        else:
+            assert read_matrix_csv(path).labels == _ROUTE_CASES[case][2]
         assert opened == [path]
 
     def test_row_0_against_column_0_comes_before_the_body(self):

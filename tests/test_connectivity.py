@@ -71,25 +71,41 @@ class TestPearson:
         assert np.mean(mags) < 0.5
 
 
+def one_edge_map(a, b):
+    """The twin map of a cohort of 2-node matrices whose one edge is a[k] in
+    twin A and b[k] in twin B of pair k."""
+    def matrix(v):
+        return conn.ConnectivityMatrix(("x", "y"), [[1.0, v], [v, 1.0]])
+    return conn.twin_edgewise_correlation(conn.TwinCohort(tuple(
+        (matrix(x), matrix(y)) for x, y in zip(a, b))))
+
+
+def spearman(a, b):
+    """The twin map's Spearman correlation of a and b, one edge's values."""
+    return float(one_edge_map(a, b).correlation.values[0, 1])
+
+
 class TestSpearman:
     def test_monotone_transform_gives_one(self):
         a = np.array([0.3, 1.0, 2.5, 7.0])
-        assert conn.spearman_correlation(a, np.exp(a)) == pytest.approx(1.0)
+        assert spearman(a, np.exp(a)) == pytest.approx(1.0)
 
     def test_reversal_gives_minus_one(self):
         a = np.array([1.0, 2.0, 5.0, 9.0])
-        assert conn.spearman_correlation(a, a[::-1].copy()) == pytest.approx(-1.0)
+        assert spearman(a, a[::-1].copy()) == pytest.approx(-1.0)
 
     def test_hand_computed(self):
-        assert conn.spearman_correlation([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
+        assert spearman([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
 
-    def test_constant_rejected(self):
-        with pytest.raises(ValidationError):
-            conn.spearman_correlation([1, 1, 1], [1, 2, 3])
+    def test_constant_edge_is_degenerate(self):
+        # its correlation is undefined: the map names the edge and gives 0
+        cm, degenerate = one_edge_map([1, 1, 1], [1, 2, 3])
+        assert degenerate == (("x", "y"),)
+        assert cm.values[0, 1] == 0.0
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValidationError):
-            conn.spearman_correlation([1, 2], [3, 4])
+        with pytest.raises(ValidationError, match="cohort needs >= 3 pairs"):
+            spearman([1, 2], [3, 4])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["a", "b"])
@@ -97,8 +113,8 @@ class TestSpearman:
         vectors = {"a": [0.0, 1.0, 2.0, 3.0], "b": [1.0, 2.0, 3.0, 4.0]}
         vectors[side][2] = bad
         with pytest.raises(ValidationError) as err:
-            conn.spearman_correlation(vectors["a"], vectors["b"])
-        assert str(err.value) == f"{side} must be finite: {side}[2]={bad!r}"
+            spearman(vectors["a"], vectors["b"])
+        assert str(err.value) == f"non-finite value {bad!r} at row 1, column 2"
 
     def test_rank_transform_invariance(self):
         rng = np.random.default_rng(9)
@@ -107,16 +123,15 @@ class TestSpearman:
             n = int(rng.integers(4, 30))
             a = rng.standard_normal(n)
             b = rng.standard_normal(n)
-            base = conn.spearman_correlation(a, b)
+            base = spearman(a, b)
             f = maps[rng.integers(len(maps))]
-            assert conn.spearman_correlation(f(a), b) == pytest.approx(base, abs=1e-12)
+            assert spearman(f(a), b) == pytest.approx(base, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal(15)
         b = rng.standard_normal(15)
-        assert conn.spearman_correlation(a, b) == pytest.approx(
-            conn.spearman_correlation(b, a), abs=1e-15)
+        assert spearman(a, b) == pytest.approx(spearman(b, a), abs=1e-15)
 
 
 class TestTwinEdgewise:

@@ -158,8 +158,8 @@ def test_midranks_match_rankdata(x):
 
 
 def _edge_loop_twin_map(cohort, symmetrize):
-    """The twin map one edge at a time through spearman_correlation: the
-    reference for the columnwise twin_edgewise_correlation."""
+    """The twin map one edge at a time, each a one-column _midrank_pearson:
+    the reference for the columnwise twin_edgewise_correlation."""
     p, labels = cohort.p, cohort.labels
     out, degenerate = np.eye(p), []
     for i in range(p):
@@ -171,7 +171,8 @@ def _edge_loop_twin_map(cohort, symmetrize):
             if np.all(a == a[0]) or np.all(b == b[0]):
                 degenerate.append((labels[i], labels[j]))
             else:
-                out[i, j] = out[j, i] = connectivity.spearman_correlation(a, b)
+                out[i, j] = out[j, i] = connectivity._midrank_pearson(
+                    a[:, None], b[:, None])[0]
     return out, tuple(degenerate)
 
 
@@ -358,7 +359,8 @@ def test_upper_triangle_parse_reads_as_csv_route(p, header, end, last_end,
             fh.write(text)
         with patch.object(matrixio, "_upper_triangle_line", spy):
             got = _read_outcome(path)
-        with patch.object(matrixio, "_loadtxt_body", lambda lines: None):
+        with patch.object(matrixio, "_loadtxt_body",
+                          lambda lines, body: None):
             assert _read_outcome(path) == got
     mirrored = all(tokens[i][j] == tokens[j][i]
                    for i in range(p) for j in range(i))

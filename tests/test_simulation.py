@@ -430,6 +430,20 @@ class TestExperiment:
         assert calls == {"run_combinatorial_trial": trials,
                          "permutation_test": 2 * trials}
 
+    def test_every_split_is_listed_once_a_run(self, monkeypatch):
+        # The listing depends on n alone, so the trials of a fraction at or
+        # past 1 share one; the fraction below 1 lists none.
+        built = []
+        real = sim.all_splits
+        monkeypatch.setattr(sim, "all_splits",
+                            lambda n: built.append(n) or real(n))
+        cfg = sim.SimulationConfig(**{**self.CFG, "n": 4,
+                                      "permutation_fractions": (0.05, 1.0),
+                                      "pairings": ((0, 0),)})
+        sim.run_experiment(cfg)
+        assert cfg.replications == 3
+        assert built == [4]
+
     def test_cells_match_the_public_trial_functions(self):
         # Each cell is the public function's p-value on the trial's stream
         # indices: data on stream base, fraction fi on stream base + 1 + fi.
