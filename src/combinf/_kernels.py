@@ -1,5 +1,5 @@
 """Numeric kernels: one spanning-tree routine and the correlation-MST
-statistic batched over groups.
+statistic batched over groups, weighted by the package's ``WeightMode``.
 
 ``prim_keys`` (a dense Prim of p - 1 vectorised argmin steps over a stack of
 key matrices, which it only reads) is the package's only MST routine. Two kernels are the one
@@ -21,6 +21,8 @@ edge ranks and ``connectivity.pearson_correlation_matrix`` calls
 
 from __future__ import annotations
 
+from enum import Enum
+
 from ._lazy import np
 
 from .errors import ValidationError
@@ -35,6 +37,23 @@ from .errors import ValidationError
 # the buffers grow with them; a process that runs 20 relabelings at p = 400
 # peaks at 41 MiB.
 _CHUNK_CELLS = 2 ** 17
+
+
+class WeightMode(str, Enum):
+    """How correlations or connectivity entries become tree edge weights:
+    as they are, 1 - entry, or as they are on the maximum spanning tree. A
+    correlation of exactly 0 is a measured value, an edge to ``mst_weights``;
+    a connectivity entry of exactly 0 means "no edge", and
+    ``mst.mst_from_connectivity`` drops it in DISTANCE mode."""
+
+    DISTANCE = "distance"
+    ONE_MINUS_SIMILARITY = "one_minus_similarity"
+    MAX_TREE = "max_tree"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"weight mode must be one of "
+                              f"{tuple(m.value for m in cls)}, got {value!r}")
 
 
 def prim_keys(w):
@@ -112,21 +131,23 @@ def correlations(x, describe, out=None, work=None):
     return out
 
 
-def mst_weights(x, one_minus,
+def mst_weights(x, mode,
                 describe=lambda k, j: f"column {j} is constant in group {k}",
                 out=None, work=None):
     """Correlation-MST edge weights of each group in an (m, n, p) stack: the
-    ``correlations`` of each group, or 1 - correlation when one_minus is
-    set, as edge weights of a tree spanning all p nodes. Returns an
-    (m, p - 1) array, each row in the order Prim takes the edges. out and
-    work are the (m, p, p) buffers of ``correlations``. A constant column
-    raises ValidationError with ``describe(k, j)``.
+    ``correlations`` of each group, weighted as the WeightMode ``mode``
+    says, on a tree spanning all p nodes (every correlation, 0 included, is
+    an edge). Returns an (m, p - 1) array, each row in the order Prim takes
+    the edges. out and work are the (m, p, p) buffers of ``correlations``.
+    A constant column raises ValidationError with ``describe(k, j)``.
     """
     w = correlations(
         x, lambda k, j: f"{describe(k, j)}, so its correlations are undefined",
         out, work)
-    if one_minus:
+    if mode is WeightMode.ONE_MINUS_SIMILARITY:
         np.subtract(1.0, w, out=w)
+    elif mode is WeightMode.MAX_TREE:
+        return -prim_keys(np.negative(w, out=w))
     return prim_keys(w)
 
 
@@ -158,12 +179,12 @@ def discrepancies(wa, wb):
     return step_gap[rows, first], values[rows, first], tied
 
 
-def permutation_null(Z, perms, one_minus):
+def permutation_null(Z, perms, mode):
     """Discrepancy statistics for relabelings of pooled data.
 
     Z is the pooled (2n x p) data matrix; each row of perms is a permutation
     of 0..2n-1 whose first n entries form group A. Returns an int64 array of
-    the max step-function gap for each relabeling. Relabelings are processed
+    the max gap for each relabeling, its trees weighted by ``mode``. Relabelings are processed
     in chunks, each in the same two buffers of about ``_CHUNK_CELLS`` matrix
     cells. A column that is constant within a group has no correlation: that
     raises ValidationError naming the relabeling, the group and the column.
@@ -179,7 +200,7 @@ def permutation_null(Z, perms, one_minus):
         groups = perms[start:start + chunk].reshape(-1, n)
         m = len(groups)
         w = mst_weights(
-            Z[groups], one_minus,
+            Z[groups], mode,
             lambda k, j: (f"relabeling {start + k // 2}: column {j} is "
                           f"constant in group {'AB'[k % 2]}"),
             corr[:m], work[:m])

@@ -47,15 +47,15 @@ class ConnectivityMatrix:
 
     The only validator of connectivity matrices: square, nonempty, one
     distinct label per node, finite, and symmetric within SYMMETRY_TOL.
-    Stores the mean of the matrix and its transpose, which leaves an exactly
-    symmetric input bit for bit (barring subnormal entries).
+    Stores a copy of a matrix that equals its transpose bit for bit, else
+    the mean of the two.
     """
 
     labels: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError(f"connectivity matrix must be square, got {values.shape}")
         if not values.size:
@@ -72,15 +72,19 @@ class ConnectivityMatrix:
             i, j = np.argwhere(~finite)[0]
             raise ValidationError(
                 f"non-finite value {values[i, j]} at row {i + 1}, column {j + 1}")
-        bad = np.argwhere(np.abs(values - values.T) > SYMMETRY_TOL)
-        if bad.size:
-            i, j = bad[0]
-            raise ValidationError(
-                f"matrix not symmetric at ({i},{j}) within {SYMMETRY_TOL}: "
-                f"{float(values[i, j])!r} vs {float(values[j, i])!r}")
+        # Bits, not values: the mean turns a mirrored -0.0 and 0.0 into 0.0.
+        bits = values.view(np.int64)
+        if (bits != bits.T).any():
+            bad = np.argwhere(np.abs(values - values.T) > SYMMETRY_TOL)
+            if bad.size:
+                i, j = bad[0]
+                raise ValidationError(
+                    f"matrix not symmetric at ({i},{j}) within {SYMMETRY_TOL}: "
+                    f"{float(values[i, j])!r} vs {float(values[j, i])!r}")
+            # Halved before the sum, so that no finite entry overflows.
+            values = values / 2.0 + values.T / 2.0
         object.__setattr__(self, "labels", tuple(self.labels))
-        # Halved before the sum, so that no finite entry overflows.
-        object.__setattr__(self, "values", values / 2.0 + values.T / 2.0)
+        object.__setattr__(self, "values", values)
 
     @property
     def p(self) -> int:

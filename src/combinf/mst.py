@@ -10,23 +10,14 @@ weight."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from ._lazy import np
 
 from . import exact
-from ._kernels import prim_keys
+from ._kernels import WeightMode, prim_keys
 from .connectivity import ConnectivityMatrix, _default_labels
 from .errors import ValidationError
-
-
-class WeightMode(str, Enum):
-    """How connectivity entries become spanning-tree edge weights."""
-
-    DISTANCE = "distance"
-    ONE_MINUS_SIMILARITY = "one_minus_similarity"
-    MAX_TREE = "max_tree"
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,12 +38,10 @@ class SpanningForest:
 
 def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
                           ) -> SpanningForest:
-    """Kruskal's spanning forest of a connectivity matrix.
-
-    distance: entries are edge weights directly (exact zeros = absent edges).
-    one_minus_similarity: weight = 1 - entry, all off-diagonal pairs.
-    max_tree: maximum spanning tree of the similarities (Kruskal on negated
-    entries); reported weights are the original similarities.
+    """Kruskal's spanning forest of a connectivity matrix, its entries
+    weighted as the WeightMode ``mode`` says. In DISTANCE mode an entry of
+    exactly 0 is an absent edge, so the graph may give a forest; MAX_TREE
+    runs Kruskal on the negated entries and reports the entries.
 
     Prim keyed by each edge's rank in a stable sort of the upper triangle,
     all distinct, takes Kruskal's tree with ties broken by (i, j); absent

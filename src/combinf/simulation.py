@@ -13,7 +13,7 @@ from ._lazy import np
 from . import _kernels
 from .connectivity import DataMatrix
 from .errors import ValidationError
-from .mst import compare_msts
+from .mst import WeightMode, compare_msts
 
 DEFAULT_PAIRINGS = ((0, 0), (4, 4), (4, 5), (4, 8), (5, 10))
 # Most relabeling indices one permutation fraction may ask for. A listing
@@ -22,10 +22,9 @@ DEFAULT_PAIRINGS = ((0, 0), (4, 4), (4, 5), (4, 8), (5, 10))
 # at n = 11). At n = 10 this admits all C(20, 10) = 184,756 relabelings.
 MAX_RELABELING_INDICES = 2 ** 22
 
-# Weight modes for the simulation statistic: "correlation" builds the MST on
-# the raw correlations (which is what reproduces the published benchmark
-# table), "one_minus" on 1 - correlation as in the twin pipeline.
-WEIGHT_MODES = ("correlation", "one_minus")
+# The config file's weight_mode names; "correlation" gives the paper's table.
+_WEIGHT_MODES = {"correlation": WeightMode.DISTANCE,
+                 "one_minus": WeightMode.ONE_MINUS_SIMILARITY}
 
 
 def _is_int(v) -> bool:
@@ -101,9 +100,9 @@ class SimulationConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValidationError(f"/seed: need seed >= 0, got {self.seed}")
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ValidationError(
-                f"/weight_mode: must be one of {WEIGHT_MODES}, got {self.weight_mode!r}")
+        if self.weight_mode not in tuple(_WEIGHT_MODES):
+            raise ValidationError(f"/weight_mode: must be one of "
+                                  f"{tuple(_WEIGHT_MODES)}, got {self.weight_mode!r}")
         if self.n < 2:
             raise ValidationError(f"/n: need n >= 2, got {self.n}")
         if self.p < 2:
@@ -285,29 +284,24 @@ def simulate_modular_pair(n: int, p: int, k_a: int, k_b: int, sigma: float,
     return DataMatrix(values=y_a), DataMatrix(values=y_b)
 
 
-def _one_minus_flag(group_a: DataMatrix, group_b: DataMatrix,
-                    weight_mode: str) -> bool:
-    """Whether MSTs are built on 1 - correlation, for groups of equal p."""
+def _weight_mode(group_a: DataMatrix, group_b: DataMatrix, mode):
     if group_a.p != group_b.p:
         raise ValidationError(
             f"groups differ in node count: {group_a.p} vs {group_b.p}")
-    if weight_mode not in WEIGHT_MODES:
-        raise ValidationError(
-            f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
-    return weight_mode == "one_minus"
+    return WeightMode(mode)
 
 
 def run_combinatorial_trial(group_a: DataMatrix, group_b: DataMatrix,
-                            weight_mode: str = "one_minus") -> float:
+                            mode: WeightMode | str) -> float:
     """Exact p-value for the MST shape difference between two groups: each
-    group's correlation-MST weights compared by ``compare_msts``, the route
-    of ``combinf compare``. The groups may differ in n. A column that is
-    constant within a group raises ValidationError naming it."""
-    one_minus = _one_minus_flag(group_a, group_b, weight_mode)
+    group's correlation-MST weights by ``mode`` compared by ``compare_msts``,
+    the route of ``combinf compare``. The groups may differ in n. A column
+    that is constant within a group raises ValidationError naming it."""
+    mode = _weight_mode(group_a, group_b, mode)
 
     def weights(group, name):
         return _kernels.mst_weights(
-            group.values[None], one_minus,
+            group.values[None], mode,
             lambda k, j: f"column {j} is constant in group {name}")[0]
     return float(compare_msts(weights(group_a, "A"), weights(group_b, "B"))[1])
 
@@ -340,17 +334,17 @@ def all_splits(n: int) -> np.ndarray:
 
 
 def permutation_test(group_a: DataMatrix, group_b: DataMatrix, relabelings,
-                     add_one: bool = False,
-                     weight_mode: str = "one_minus") -> float:
-    """Permutation p-value of D over relabelings of the pooled 2n rows, as
-    listed by ``sampled_relabelings`` or ``all_splits``: each row permutes
-    0..2n-1 and its first n entries form group A; row 0 is the identity, the
-    observed split, whose D is D_obs. The p-value is #{D* >= D_obs} / N over
-    rows 1..N; ``add_one`` gives (count + 1) / (N + 1) instead."""
+                     mode: WeightMode | str, add_one: bool = False) -> float:
+    """Permutation p-value of D, trees weighted by ``mode``, over relabelings
+    of the pooled 2n rows, as listed by ``sampled_relabelings`` or
+    ``all_splits``: each row permutes 0..2n-1 and its first n entries form
+    group A; row 0 is the identity, the observed split, whose D is D_obs.
+    The p-value is #{D* >= D_obs} / N over rows 1..N; ``add_one`` gives
+    (count + 1) / (N + 1) instead."""
     if group_a.n != group_b.n:
         raise ValidationError(f"permutation test needs groups of equal n, "
                               f"got {group_a.n} and {group_b.n}")
-    one_minus = _one_minus_flag(group_a, group_b, weight_mode)
+    mode = _weight_mode(group_a, group_b, mode)
     perms, n2 = np.asarray(relabelings), 2 * group_a.n
     if (perms.ndim != 2 or len(perms) < 2 or perms.shape[1] != n2
             or perms.dtype.kind not in "iu"):
@@ -364,7 +358,7 @@ def permutation_test(group_a: DataMatrix, group_b: DataMatrix, relabelings,
         raise ValidationError(f"each relabeling must permute 0..{n2 - 1}, and "
                               "relabeling 0 be the identity, the observed split")
     null = _kernels.permutation_null(
-        np.vstack([group_a.values, group_b.values]), perms, one_minus)
+        np.vstack([group_a.values, group_b.values]), perms, mode)
     hits = int(np.count_nonzero(null[1:] >= null[0]))
     return (hits + 1) / null.size if add_one else hits / (null.size - 1)
 
@@ -384,6 +378,7 @@ def run_experiment(cfg: SimulationConfig, progress=None) -> ExperimentReport:
     stream indices, so execution order is irrelevant."""
     methods = ["combinatorial"] + [_method_label(f)
                                    for f in cfg.permutation_fractions]
+    mode = _WEIGHT_MODES[cfg.weight_mode]
     pvalues = {}
     streams_per_trial = 1 + len(cfg.permutation_fractions)
     every = math.comb(2 * cfg.n, cfg.n)
@@ -399,15 +394,15 @@ def run_experiment(cfg: SimulationConfig, progress=None) -> ExperimentReport:
             data_a, data_b = simulate_modular_pair(
                 cfg.n, cfg.p, ka, kb, cfg.sigma, RngStream(cfg.seed, base))
             cell["combinatorial"].append(
-                run_combinatorial_trial(data_a, data_b, cfg.weight_mode))
+                run_combinatorial_trial(data_a, data_b, mode))
             for fi, frac in enumerate(cfg.permutation_fractions):
                 count = permutation_count(frac, cfg.n)
                 relabelings = (splits if count >= every
                                else sampled_relabelings(
                                    cfg.n, count,
                                    RngStream(cfg.seed, base + 1 + fi)))
-                cell[_method_label(frac)].append(permutation_test(
-                    data_a, data_b, relabelings, weight_mode=cfg.weight_mode))
+                cell[_method_label(frac)].append(
+                    permutation_test(data_a, data_b, relabelings, mode))
             if progress is not None:
                 progress(label, r + 1, cfg.replications)
         pvalues[label] = cell

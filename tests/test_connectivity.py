@@ -29,6 +29,33 @@ class TestConnectivityMatrix:
                            match=r"^node label 'b' repeated at positions 1 and 3$"):
             conn.ConnectivityMatrix(("a", "b", "c", "b"), np.eye(4))
 
+    def test_symmetric_values_are_kept_in_a_copy(self):
+        values = np.array([[0.0, 5e-324, -0.0], [5e-324, 0.0, 2.0],
+                           [-0.0, 2.0, 0.0]])
+        cm = conn.ConnectivityMatrix(tuple("abc"), values)
+        assert cm.values.tobytes() == values.tobytes()
+        assert not np.shares_memory(cm.values, values)
+
+    def test_asymmetric_values_are_averaged(self):
+        # A mirrored -0.0 and 0.0 are equal but not the same bits: their
+        # mean is 0.0 on both sides.
+        values = np.array([[1.0, -0.0, 0.5], [0.0, 1.0, 0.25],
+                           [0.5 + 2e-16, 0.25, 1.0]])
+        cm = conn.ConnectivityMatrix(tuple("abc"), values)
+        assert not np.signbit(cm.values).any()
+        assert cm.values[0, 2] == cm.values[2, 0] == 0.5 / 2 + values[2, 0] / 2
+
+    def test_subnormal_cell_survives_the_read_and_the_tree(self, tmp_path):
+        from combinf.matrixio import read_matrix_csv
+        from combinf.mst import mst_from_connectivity
+        path = tmp_path / "m.csv"
+        path.write_text("a,b,c\n0,5e-324,1\n5e-324,0,2\n1,2,0\n")
+        cm = read_matrix_csv(path)
+        assert cm.values[0, 1] == cm.values[1, 0] == 5e-324
+        forest = mst_from_connectivity(cm)
+        assert forest.weights.tolist() == [5e-324, 1.0]
+        assert forest.edges.tolist() == [[0, 1], [0, 2]]
+
 
 class TestPearson:
     def test_duplicated_column(self):

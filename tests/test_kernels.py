@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from combinf import _kernels
+from combinf.connectivity import DataMatrix, pearson_correlation_matrix
 from combinf.errors import ValidationError
+from combinf.mst import WeightMode, mst_from_connectivity
 from combinf.simulation import RngStream, simulate_modular_pair
 from kruskal_reference import WeightedGraph, kruskal_mst
 
 
-def reference_mst_weights(group, one_minus):
+def reference_mst_weights(group, mode):
     """One group's correlation-MST weights, built edge by edge: centred Gram,
-    G / sqrt(Gii * Gjj), then the reference Kruskal."""
+    G / sqrt(Gii * Gjj), then the reference Kruskal (on the negated
+    correlations for MAX_TREE, which reports the correlations)."""
     n, p = group.shape
     mean = np.zeros(p)
     for r in range(n):
@@ -21,9 +24,12 @@ def reference_mst_weights(group, one_minus):
     for i in range(p):
         for j in range(i + 1, p):
             corr = gram[i, j] / np.sqrt(gram[i, i] * gram[j, j])
-            edges.append((i, j, 1.0 - corr if one_minus else corr))
+            edges.append((i, j, {WeightMode.DISTANCE: corr,
+                                 WeightMode.ONE_MINUS_SIMILARITY: 1.0 - corr,
+                                 WeightMode.MAX_TREE: -corr}[mode]))
     g = WeightedGraph(tuple(f"n{k}" for k in range(p)), tuple(edges))
-    return np.sort(kruskal_mst(g).weights)
+    weights = kruskal_mst(g).weights
+    return np.sort(-weights if mode is WeightMode.MAX_TREE else weights)
 
 
 def reference_gap(a, b):
@@ -36,24 +42,24 @@ def reference_gap(a, b):
     return int(gap[k]), float(merged[k])
 
 
-def reference_null(pooled, perms, one_minus):
+def reference_null(pooled, perms, mode):
     n = perms.shape[1] // 2
     return np.array([
-        reference_gap(reference_mst_weights(pooled[perm[:n]], one_minus),
-                      reference_mst_weights(pooled[perm[n:]], one_minus))[0]
+        reference_gap(reference_mst_weights(pooled[perm[:n]], mode),
+                      reference_mst_weights(pooled[perm[n:]], mode))[0]
         for perm in perms])
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
-@pytest.mark.parametrize("one_minus", [False, True])
-def test_permutation_null_matches_per_relabeling_reference(sigma, one_minus,
+@pytest.mark.parametrize("mode", list(WeightMode))
+def test_permutation_null_matches_per_relabeling_reference(sigma, mode,
                                                            monkeypatch):
     n, p = 10, 40
     a, b = simulate_modular_pair(n, p, 4, 8, sigma, RngStream(31, 0))
     pooled = np.vstack([a.values, b.values])
     rng = np.random.default_rng(32)
     perms = np.array([rng.permutation(2 * n) for _ in range(23)])
-    expected = reference_null(pooled, perms, one_minus)
+    expected = reference_null(pooled, perms, mode)
     # The default chunk holds all 23 relabelings at p = 40.
     assert _kernels._CHUNK_CELLS // (2 * p * p) >= len(perms)
     # The null is bit-identical for one relabeling a chunk, five a chunk
@@ -62,7 +68,7 @@ def test_permutation_null_matches_per_relabeling_reference(sigma, one_minus,
     for cells in (2 * p * p, 5 * 2 * p * p, _kernels._CHUNK_CELLS):
         monkeypatch.setattr(_kernels, "_CHUNK_CELLS", cells)
         for count in (len(perms), 1):
-            got = _kernels.permutation_null(pooled, perms[:count], one_minus)
+            got = _kernels.permutation_null(pooled, perms[:count], mode)
             assert got.dtype == np.int64
             assert np.array_equal(got, expected[:count]), (cells, count)
 
@@ -81,11 +87,12 @@ def test_constant_column_in_a_later_chunk_names_its_relabeling(group,
     perms = np.array([rng.permutation(2 * n) for _ in range(23)])
     split = np.arange(2 * n)
     perms[17] = split if group == "A" else np.roll(split, n)
-    assert _kernels.permutation_null(pooled, perms[:17], True).shape == (17,)
+    mode = WeightMode.ONE_MINUS_SIMILARITY
+    assert _kernels.permutation_null(pooled, perms[:17], mode).shape == (17,)
     for cells in (5 * 2 * p * p, _kernels._CHUNK_CELLS):
         monkeypatch.setattr(_kernels, "_CHUNK_CELLS", cells)
         with pytest.raises(ValidationError) as err:
-            _kernels.permutation_null(pooled, perms, True)
+            _kernels.permutation_null(pooled, perms, mode)
         assert str(err.value) == (
             f"relabeling 17: column 3 is constant in group {group}, so its "
             "correlations are undefined")
@@ -151,17 +158,36 @@ def test_discrepancy_kernel_terminates_on_nan():
 
 
 def test_group_mst_weights_matches_high_level_pipeline():
-    from combinf.connectivity import DataMatrix, pearson_correlation_matrix
-    from combinf.mst import WeightMode, mst_from_connectivity
     rng = np.random.default_rng(79)
     for _ in range(10):
         n, p = 10, int(rng.integers(4, 20))
         data = rng.standard_normal((n, p))
-        kernel = _kernels.mst_weights(data[None], True)[0]
         cm = pearson_correlation_matrix(DataMatrix(data))
-        weights = mst_from_connectivity(
-            cm, WeightMode.ONE_MINUS_SIMILARITY).weights
-        assert np.array_equal(np.sort(kernel), weights)
+        for mode in WeightMode:
+            kernel = _kernels.mst_weights(data[None], mode)[0]
+            weights = mst_from_connectivity(cm, mode).weights
+            assert np.array_equal(np.sort(kernel), weights), mode
+
+
+def test_exact_zero_correlation_is_an_edge_of_the_kernel_only():
+    # The centred columns 0 and 1 are orthogonal, so their correlation is
+    # exactly 0: a measured value, which the kernel keeps as an edge in
+    # DISTANCE mode, while a matrix entry of 0 is no edge.
+    data = np.array([[1.0, 1.0, 2.0], [-1.0, 1.0, 0.0],
+                     [1.0, -1.0, 0.0], [-1.0, -1.0, -2.0]])
+    cm = pearson_correlation_matrix(DataMatrix(data))
+    r = cm.values[0, 2]
+    assert cm.values[0, 1] == 0.0 and cm.values[1, 2] == r
+    kernel = np.sort(_kernels.mst_weights(data[None], WeightMode.DISTANCE)[0])
+    assert kernel.tolist() == [0.0, r]
+    forest = mst_from_connectivity(cm, WeightMode.DISTANCE)
+    assert forest.weights.tolist() == [r, r]
+    assert forest.edges.tolist() == [[0, 2], [1, 2]]
+    # The other modes keep every entry, and the two routes agree.
+    for mode in (WeightMode.ONE_MINUS_SIMILARITY, WeightMode.MAX_TREE):
+        assert np.array_equal(
+            np.sort(_kernels.mst_weights(data[None], mode)[0]),
+            mst_from_connectivity(cm, mode).weights), mode
 
 
 def test_correlations_do_not_depend_on_scale():
@@ -184,15 +210,14 @@ def test_correlations_do_not_depend_on_scale():
         assert np.array_equal(_kernels.correlations(columns, describe), want)
 
 
-@pytest.mark.parametrize("one_minus", [False, True])
-def test_weights_do_not_depend_on_memory_layout(one_minus):
+@pytest.mark.parametrize("mode", list(WeightMode))
+def test_weights_do_not_depend_on_memory_layout(mode):
     # A Fortran-ordered copy holds the same numbers; the matmul would sum
     # them in another order unless the kernel makes the data C-ordered.
     rng = np.random.default_rng(80)
     for _ in range(40):
         n, p = int(rng.integers(3, 30)), int(rng.integers(3, 60))
         data = rng.standard_normal((n, p))
-        c_order = _kernels.mst_weights(data[None], one_minus)
-        f_order = _kernels.mst_weights(
-            np.asfortranarray(data)[None], one_minus)
+        c_order = _kernels.mst_weights(data[None], mode)
+        f_order = _kernels.mst_weights(np.asfortranarray(data)[None], mode)
         assert np.array_equal(c_order, f_order)

@@ -525,7 +525,7 @@ _CONFIG_FAULTS = st.one_of(
     st.tuples(st.just("pairings"), st.sampled_from(
         [[], [[1]], [1, 2], [[1.0, 2]], [[-1, 0]], [[5, 0]], "0 vs 0"])),
     st.tuples(st.sampled_from(["weight_mode", "extra"]),
-              st.sampled_from(["other", 1])),
+              st.sampled_from(["other", 1, "one_minus_similarity"])),
     st.tuples(st.just("doc"), st.sampled_from(
         ["{", "[]", "1", '{"n": 3}', b"\xff{}"])))
 

@@ -18,8 +18,8 @@ def record_nulls(monkeypatch):
     seen = []
     null = sim._kernels.permutation_null
 
-    def record(pooled, perms, one_minus):
-        seen.append((perms.copy(), null(pooled, perms, one_minus)))
+    def record(pooled, perms, mode):
+        seen.append((perms.copy(), null(pooled, perms, mode)))
         return seen[-1][1]
 
     monkeypatch.setattr(sim._kernels, "permutation_null", record)
@@ -30,11 +30,15 @@ def library_discrepancy(a, b, mode):
     """D of two groups by the library route: pearson_correlation_matrix ->
     mst_from_connectivity -> exact.discrepancy, which shares with the
     permutation null only the correlations and the discrepancy kernel."""
-    weight_mode = (WeightMode.ONE_MINUS_SIMILARITY if mode == "one_minus"
-                   else WeightMode.DISTANCE)
     wa, wb = (mst_from_connectivity(pearson_correlation_matrix(g),
-                                    weight_mode).weights for g in (a, b))
+                                    mode).weights for g in (a, b))
     return discrepancy(wa, wb).d
+
+
+# The config file's two modes, named as in the file.
+CONFIG_MODES = pytest.mark.parametrize(
+    "mode", list(sim._WEIGHT_MODES.values()), ids=list(sim._WEIGHT_MODES))
+ONE_MINUS = WeightMode.ONE_MINUS_SIMILARITY
 
 
 class TestRngStream:
@@ -55,6 +59,16 @@ class TestConfig:
         assert (cfg.n, cfg.p, cfg.sigma) == (10, 40, 0.1)
         assert cfg.permutation_fractions == (0.001, 0.005, 0.01)
         assert cfg.pairings == sim.DEFAULT_PAIRINGS
+
+    @pytest.mark.parametrize("value", ["one_minus_similarity", "distance",
+                                       "other"])
+    def test_weight_mode_takes_the_file_names(self, value):
+        # The file names the modes its own way; WeightMode values are not
+        # among its names.
+        with pytest.raises(ValidationError) as err:
+            sim.SimulationConfig(seed=1, weight_mode=value)
+        assert str(err.value) == ("/weight_mode: must be one of "
+                                  f"('correlation', 'one_minus'), got {value!r}")
 
     def test_bad_module_count(self):
         with pytest.raises(ValidationError, match="/pairings/0"):
@@ -152,10 +166,30 @@ class TestModularData:
         assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("entry", ["mst_from_connectivity",
+                                   "run_combinatorial_trial",
+                                   "permutation_test"])
+@pytest.mark.parametrize("value", ["bogus", "correlation", "one-minus"])
+def test_a_mode_that_is_no_weight_mode_is_a_validation_error(entry, value):
+    # The config file's and the CLI's names are not WeightMode values.
+    a, b = sim.simulate_modular_pair(3, 4, 2, 2, 0.1, sim.RngStream(8, 31))
+    call = {"mst_from_connectivity": lambda: mst_from_connectivity(
+                pearson_correlation_matrix(a), value),
+            "run_combinatorial_trial": lambda: sim.run_combinatorial_trial(
+                a, b, value),
+            "permutation_test": lambda: sim.permutation_test(
+                a, b, sim.all_splits(3), value)}[entry]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == (
+        "weight mode must be one of ('distance', 'one_minus_similarity', "
+        f"'max_tree'), got {value!r}")
+
+
 class TestCombinatorialTrial:
     def test_identical_groups_give_one(self):
         data = sim.simulate_modular_data(10, 20, 4, 0.1, sim.RngStream(5, 0))
-        assert sim.run_combinatorial_trial(data, data) == 1.0
+        assert sim.run_combinatorial_trial(data, data, ONE_MINUS) == 1.0
 
     def test_trial_matches_the_library_route(self):
         # At sigma = 0 the columns within a module are bit-identical, so
@@ -163,7 +197,7 @@ class TestCombinatorialTrial:
         for sigma in (0.0, 0.1):
             a, b = sim.simulate_modular_pair(10, 40, 4, 5, sigma,
                                              sim.RngStream(9, 0))
-            for mode in sim.WEIGHT_MODES:
+            for mode in WeightMode:
                 d = library_discrepancy(a, b, mode)
                 assert (sim.run_combinatorial_trial(a, b, mode)
                         == float(exact_pvalue(39, d))), (sigma, mode)
@@ -175,7 +209,7 @@ class TestCombinatorialTrial:
                                    WeightMode.ONE_MINUS_SIMILARITY).weights
         wb = mst_from_connectivity(pearson_correlation_matrix(b),
                                    WeightMode.ONE_MINUS_SIMILARITY).weights
-        assert (sim.run_combinatorial_trial(a, b)
+        assert (sim.run_combinatorial_trial(a, b, ONE_MINUS)
                 == float(compare_msts(wa, wb)[1]))
 
     def test_constant_column_is_named(self):
@@ -186,7 +220,8 @@ class TestCombinatorialTrial:
         b[:, 1] = 0.1
         with pytest.raises(ValidationError,
                            match="column 1 is constant in group B"):
-            sim.run_combinatorial_trial(DataMatrix(a), DataMatrix(b))
+            sim.run_combinatorial_trial(DataMatrix(a), DataMatrix(b),
+                                        ONE_MINUS)
 
 
 def listing(n, count, stream):
@@ -234,16 +269,16 @@ class TestPermutationTest:
         a = sim.simulate_modular_data(4, 6, 2, 0.1, sim.RngStream(8, 3))
         b = sim.simulate_modular_data(4, 6, 3, 0.1, sim.RngStream(8, 4))
         assert np.array_equal(sim.all_splits(4), sim.all_splits(4))
-        p1 = sim.permutation_test(a, b, sim.all_splits(4))
-        p2 = sim.permutation_test(a, b, sim.all_splits(4))
+        p1 = sim.permutation_test(a, b, sim.all_splits(4), ONE_MINUS)
+        p2 = sim.permutation_test(a, b, sim.all_splits(4), ONE_MINUS)
         assert p1 == p2
         assert 0.0 < p1 <= 1.0
         # add_one counts the C(8, 4) / 2 listed splits
-        assert sim.permutation_test(a, b, sim.all_splits(4),
+        assert sim.permutation_test(a, b, sim.all_splits(4), ONE_MINUS,
                                     add_one=True) == (p1 * 35 + 1) / 36
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    @pytest.mark.parametrize("mode", sim.WEIGHT_MODES)
+    @CONFIG_MODES
     def test_every_split_matches_the_full_listing(self, n, mode):
         # Oracle: each of the C(2n, n) splits of the pooled rows, both halves
         # of the symmetric null, scored alone by the library route.
@@ -260,24 +295,25 @@ class TestPermutationTest:
         for count, stream in ((cap, sim.RngStream(1, 0)),
                               (cap + 5, sim.RngStream(2, 7))):
             assert sim.permutation_test(a, b, listing(n, count, stream),
-                                        weight_mode=mode) == hits / cap
+                                        mode) == hits / cap
 
     def test_identical_groups_give_one(self):
         a = sim.simulate_modular_data(4, 6, 2, 0.1, sim.RngStream(8, 7))
         pv = sim.permutation_test(
-            a, a, sim.sampled_relabelings(4, 50, sim.RngStream(8, 8)))
+            a, a, sim.sampled_relabelings(4, 50, sim.RngStream(8, 8)),
+            ONE_MINUS)
         assert pv == 1.0
 
     def test_add_one_correction(self):
         a = sim.simulate_modular_data(4, 6, 2, 0.1, sim.RngStream(8, 9))
         b = sim.simulate_modular_data(4, 6, 3, 0.1, sim.RngStream(8, 10))
         perms = sim.sampled_relabelings(4, 40, sim.RngStream(8, 11))
-        plain = sim.permutation_test(a, b, perms)
-        corrected = sim.permutation_test(a, b, perms, add_one=True)
+        plain = sim.permutation_test(a, b, perms, ONE_MINUS)
+        corrected = sim.permutation_test(a, b, perms, ONE_MINUS, add_one=True)
         assert corrected == pytest.approx((plain * 40 + 1) / 41)
 
     @pytest.mark.parametrize("k", [0, 2])
-    @pytest.mark.parametrize("mode", sim.WEIGHT_MODES)
+    @CONFIG_MODES
     def test_add_one_holds_alpha_under_an_exchangeable_null(self, mode, k):
         # Both groups are independent draws of one model, so their 2n rows
         # are exchangeable and (hits + 1) / (N + 1) is a valid p-value
@@ -290,7 +326,7 @@ class TestPermutationTest:
                     for s in (0, 1))
             rejected += sim.permutation_test(
                 a, b, sim.sampled_relabelings(6, 99, sim.RngStream(61, 3 * t + 2)),
-                add_one=True, weight_mode=mode) <= alpha
+                mode, add_one=True) <= alpha
         assert rejected / trials <= alpha + 3 * math.sqrt(
             alpha * (1 - alpha) / trials)
 
@@ -306,7 +342,7 @@ class TestPermutationTest:
         with pytest.raises(ValidationError,
                            match="relabeling 4: column 0 is constant in group A"):
             sim.permutation_test(DataMatrix(a), DataMatrix(b),
-                                 sim.all_splits(3))
+                                 sim.all_splits(3), ONE_MINUS)
 
     @pytest.mark.parametrize("group", ["A", "B"])
     @pytest.mark.parametrize("count", [5, 20])
@@ -322,7 +358,8 @@ class TestPermutationTest:
                 f"relabeling 0: column 2 is constant in group {group}")):
             sim.permutation_test(DataMatrix(groups["A"]),
                                  DataMatrix(groups["B"]),
-                                 listing(3, count, sim.RngStream(8, 24)))
+                                 listing(3, count, sim.RngStream(8, 24)),
+                                 ONE_MINUS)
 
     def test_relabelings_are_the_per_row_permutation_stream(self, monkeypatch):
         # Relabeling 0 is the observed split; the drawn relabelings after it
@@ -337,16 +374,15 @@ class TestPermutationTest:
         assert np.array_equal(perms[0], np.arange(10))
         assert np.array_equal(perms[1:], want)
         seen = record_nulls(monkeypatch)
-        sim.permutation_test(a, b, perms)
+        sim.permutation_test(a, b, perms, ONE_MINUS)
         assert np.array_equal(seen[0][0], perms)
 
     def test_observed_split_is_scored_as_the_library_route(self, monkeypatch):
         a, b = sim.simulate_modular_pair(6, 12, 3, 4, 0.1, sim.RngStream(8, 25))
         seen = record_nulls(monkeypatch)
-        for mode in sim.WEIGHT_MODES:
+        for mode in WeightMode:
             sim.permutation_test(
-                a, b, sim.sampled_relabelings(6, 30, sim.RngStream(8, 26)),
-                weight_mode=mode)
+                a, b, sim.sampled_relabelings(6, 30, sim.RngStream(8, 26)), mode)
             assert seen[-1][1][0] == library_discrepancy(a, b, mode)
 
     def test_unequal_n_rejected(self):
@@ -355,10 +391,10 @@ class TestPermutationTest:
         b = sim.simulate_modular_data(5, 6, 3, 0.1, sim.RngStream(8, 19))
         perms = sim.sampled_relabelings(4, 20, sim.RngStream(8, 20))
         with pytest.raises(ValidationError, match="equal n, got 4 and 5"):
-            sim.permutation_test(a, b, perms)
+            sim.permutation_test(a, b, perms, ONE_MINUS)
         c = sim.simulate_modular_data(4, 8, 2, 0.1, sim.RngStream(8, 27))
         with pytest.raises(ValidationError, match="node count: 6 vs 8"):
-            sim.permutation_test(a, c, perms)
+            sim.permutation_test(a, c, perms, ONE_MINUS)
 
     def test_too_few_permutations_rejected(self):
         with pytest.raises(ValidationError):
@@ -371,7 +407,8 @@ class TestPermutationTest:
         a = sim.simulate_modular_data(3, 6, 2, 0.1, sim.RngStream(8, 28))
         b = sim.simulate_modular_data(3, 6, 3, 0.1, sim.RngStream(8, 29))
         perms = sim.sampled_relabelings(3, 4, sim.RngStream(8, 30))
-        sim.permutation_test(a, b, perms)  # the well-formed listing is scored
+        # the well-formed listing is scored
+        sim.permutation_test(a, b, perms, ONE_MINUS)
         bad = {"single_row": perms[:1],
                "wide": np.hstack([perms, perms[:, :1]]),
                "narrow": perms[:, 1:],
@@ -390,7 +427,7 @@ class TestPermutationTest:
                 "relabelings must be integers, at least 2 rows of 6" if shape
                 else r"each relabeling must permute 0\.\.5, and relabeling 0 "
                      "be the identity")):
-            sim.permutation_test(a, b, bad)
+            sim.permutation_test(a, b, bad, ONE_MINUS)
 
 
 class TestExperiment:
@@ -451,6 +488,7 @@ class TestExperiment:
         cfg = sim.SimulationConfig(
             **{**self.CFG, "permutation_fractions": (0.05, 0.1, 1.0)})
         report = sim.run_experiment(cfg)
+        mode = sim._WEIGHT_MODES[cfg.weight_mode]
         for g, (ka, kb) in enumerate(cfg.pairings):
             cell = report.pvalues[f"{ka} vs {kb}"]
             for r in range(cfg.replications):
@@ -458,14 +496,14 @@ class TestExperiment:
                 a, b = sim.simulate_modular_pair(cfg.n, cfg.p, ka, kb, cfg.sigma,
                                                  sim.RngStream(cfg.seed, base))
                 assert cell["combinatorial"][r] == sim.run_combinatorial_trial(
-                    a, b, cfg.weight_mode)
+                    a, b, mode)
                 for fi, frac in enumerate(cfg.permutation_fractions):
                     perms = (sim.all_splits(cfg.n) if frac == 1.0
                              else sim.sampled_relabelings(
                                  cfg.n, sim.permutation_count(frac, cfg.n),
                                  sim.RngStream(cfg.seed, base + 1 + fi)))
                     assert cell[f"permute_{frac * 100:g}%"][r] == sim.permutation_test(
-                        a, b, perms, weight_mode=cfg.weight_mode)
+                        a, b, perms, mode)
 
     def test_single_replication_zero_std(self):
         cfg = sim.SimulationConfig(**{**self.CFG, "replications": 1})
