@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,11 +12,6 @@ from ._lazy import np
 
 from .connectivity import ConnectivityMatrix, TwinCohort, _default_labels
 from .errors import DataError, ValidationError
-
-# ASCII separators that numpy's float parser strips as whitespace and
-# float() rejects.
-_NOT_FLOAT_SPACE = b"\x1c\x1d\x1e\x1f"
-
 
 def read_matrix_csv(path, labels=None) -> ConnectivityMatrix:
     """Read a square numeric CSV, with an optional first header row of node
@@ -81,30 +75,39 @@ def _header(row):
 def _read_table(path):
     """The header labels (or None) and the float64 values of a square CSV.
 
-    The file's bytes are read once and decoded in one call, a leading
-    byte-order mark dropped; a decode error then counts its position from
-    the start of the file, or from after the mark, which the message says.
-    The text is split into lines as a text file splits them, and csv.reader
-    reads its first non-empty row, the header when _header says so. numpy's
-    C parser reads the body, the end of the bytes read, in one call when it
-    can; on any other body the same reader reads on, and _parse_rows
-    diagnoses every error. The two routes give the same labels and value
-    bytes."""
+    The file's bytes are read once. Bytes that are not all ASCII are decoded
+    in one call, a leading byte-order mark dropped, only to report the
+    position of a byte that is not UTF-8, counted from after the mark when
+    there is one. One numpy scan finds the offset of every byte up to ','
+    in code order (low) and the byte there (kind): the control characters,
+    '\\n' and '\\r' among them, the space, '!' to '+', and ','. It gives the
+    line ends ('\\n', '\\r\\n' and a lone '\\r', where a text file ends a
+    line), from which csv.reader is handed lines decoded one at a time; it
+    reads the first non-empty row, the header when _header says so. numpy's
+    C parser reads the body, the lines past the header, in one call when it
+    can, checked from the same scan; on any other body the same reader reads
+    on, and _parse_rows diagnoses every error. The two routes give the same
+    labels and value bytes."""
     try:
         data = path.read_bytes()
-        bom = codecs.BOM_UTF8 if data.startswith(codecs.BOM_UTF8) else b""
-        text = data.decode("utf-8-sig")
-        lines = io.StringIO(text, newline="").readlines()
-        reader = csv.reader(lines)
+        bom = data.startswith(codecs.BOM_UTF8)
+        if not data.isascii():
+            data.decode("utf-8-sig")  # raises at the first bad byte
+        raw = np.frombuffer(data, np.uint8)
+        low = np.flatnonzero(raw <= ord(","))
+        kind = raw[low]
+        bounds = _line_bounds(data, low, kind,
+                              len(codecs.BOM_UTF8) if bom else 0)
+        reader = csv.reader(data[a:b].decode()
+                            for a, b in zip(bounds, bounds[1:]))
         first = next(filter(None, reader), None)
         if first is None:
             raise DataError(f"{path}: empty file")
         labels = _header(first)
         head = 0 if labels is None else reader.line_num
         rows = [first] if labels is None else []
-        # a header label may have more bytes than characters
-        start = len(bom) + len("".join(lines[:head]).encode())
-        values = _loadtxt_body(lines[head:], data[start:])
+        k = np.searchsorted(low, bounds[head])
+        values = _loadtxt_body(data, bounds[head:], low[k:], kind[k:])
         if values is None:
             rows += filter(None, reader)
     except UnicodeDecodeError as err:
@@ -113,6 +116,22 @@ def _read_table(path):
     except (OSError, csv.Error) as err:
         raise DataError(f"cannot read {path}: {err}") from err
     return labels, _parse_rows(path, rows) if values is None else values
+
+
+def _line_bounds(data, low, kind, start):
+    """The offset of each line of data from start, then the offset past the
+    last, given the bytes kind at the offsets low, all of data's bytes up
+    to ','. A line ends at '\\n', '\\r\\n' or a lone '\\r', as
+    bytes.splitlines ends one."""
+    cr = low[kind == ord("\r")]
+    # the byte after each '\r', or the '\r' itself at the end of data
+    after = np.frombuffer(data, np.uint8)[np.minimum(cr + 1, len(data) - 1)]
+    ends = np.concatenate((low[kind == ord("\n")], cr[after != ord("\n")]))
+    ends.sort()
+    bounds = [start, *(ends + 1).tolist()]
+    if bounds[-1] < len(data):
+        bounds.append(len(data))
+    return bounds
 
 
 def _parse_rows(path, rows):
@@ -137,70 +156,101 @@ def _parse_rows(path, rows):
     return values
 
 
-def _loadtxt_body(lines, body):
-    """The values of body lines, whose bytes are body, that numpy's C parser
-    reads exactly as the csv route would, or None for any other body.
+def _loadtxt_body(data, bounds, low, kind):
+    """The values of the body, the lines data[bounds[k]:bounds[k + 1]] with
+    the bytes kind at the offsets low, all of its bytes up to ',', that
+    numpy's C parser reads exactly as the csv route would, or None for any
+    other body.
 
     np.loadtxt parses the lines in one call, with no str per cell, or only
     the upper triangle of a body whose mirrored tokens are the same bytes
-    (_upper_triangle_line), whose values are then mirrored. On an ASCII
+    (_upper_triangle_lines), whose values are then mirrored. On an ASCII
     token it gives float()'s double, non-finite ones included, or rejects
-    it ('1_0', '"1"', '#'), except that it also strips _NOT_FLOAT_SPACE.
-    Left to the csv route: non-ASCII text, those four characters, a line
-    longer than the csv field limit, a body with no rows (on which numpy
-    warns), and a ragged or non-square body."""
-    if (not body.isascii() or any(ch in body for ch in _NOT_FLOAT_SPACE)
-            or not body.strip()
-            or max(map(len, lines)) > csv.field_size_limit()):
+    it ('1_0', '"1"', '#'), except that it also strips the separators
+    '\\x1c' to '\\x1f'. Left to the csv route: non-ASCII text, those four
+    characters, a line longer than the csv field limit, a body with no rows
+    (on which numpy warns), and a ragged or non-square body. Only the ASCII
+    check reads the whole body; the others read low and kind."""
+    p = len(bounds) - 1
+    start = bounds[0]
+    if (p == 0 or np.frombuffer(data, np.uint8)[start:].max() >= 0x80
+            # numpy strips these as whitespace and float() rejects them
+            or ((0x1c <= kind) & (kind <= 0x1f)).any()
+            # a blank body is whitespace, all of it bytes up to ','
+            or low.size == len(data) - start and not data[start:].strip()
+            or max(b - a for a, b in zip(bounds, bounds[1:]))
+            > csv.field_size_limit()):
         return None
-    upper = _upper_triangle_line(body, lines)
+    upper = _upper_triangle_lines(data, bounds, low, kind)
+    lines = upper or [data[a:b] for a, b in zip(bounds, bounds[1:])]
     try:
-        values = np.loadtxt(lines if upper is None else [upper],
-                            delimiter=",", comments=None, ndmin=2)
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if upper is not None:
-        return _mirrored(values[0], len(lines))
+        return _mirrored(values.ravel(), p)
     return values if values.shape[0] == values.shape[1] else None
 
 
-def _upper_triangle_line(body, lines):
-    """Tokens (i, j), j >= i, of an ASCII body in row-major order, joined by
-    commas, when the body, the bytes of its p lines, has p comma-separated
-    tokens on each line, each line ended by '\\n' or '\\r\\n', and token
-    (j, i) has the bytes of token (i, j) for every i < j; else None.
+def _upper_triangle_lines(data, bounds, low, kind):
+    """Tokens (i, j), j >= i, of an ASCII body in row-major order, as lines
+    of p | 1 comma-separated tokens, when the body, the p lines
+    data[bounds[k]:bounds[k + 1]] with the bytes kind at the offsets low,
+    all of its bytes up to ',', has p comma-separated tokens on each line,
+    each line ended by '\\n' or '\\r\\n', and token (j, i) has the bytes of
+    token (i, j) for every i < j; else None.
 
-    Equal bytes parse to the same double or fail alike, so parsing this one
-    line gives every value of the full parse, or its error, in p(p+1)/2
-    conversions instead of p**2."""
-    p = len(lines)
+    Equal bytes parse to the same double or fail alike, so parsing these
+    lines gives every value of the full parse, or its error, in p(p+1)/2
+    conversions instead of p**2. p | 1 tokens divide p(p+1)/2; numpy parses
+    lines of about p tokens faster than one long line, and widens only one
+    at a time to 4 bytes a character."""
+    p = len(bounds) - 1
     # Row 0 against column 0 first, in O(p), so that a matrix symmetric only
-    # within a tolerance is turned away before the O(bytes) passes.
-    if p > 1 and (lines[0].rstrip("\r\n").split(",")[1:]
-                  != [line[:line.find(",")] for line in lines[1:]]):
+    # within a tolerance is turned away before the passes over low.
+    if p > 1:
+        cuts = [data.find(b",", a, b) for a, b in zip(bounds[1:], bounds[2:])]
+        row = data[bounds[0]:bounds[1]].rstrip(b"\r\n").split(b",")[1:]
+        if -1 in cuts or row != [data[a:c]
+                                 for a, c in zip(bounds[1:], cuts)]:
+            return None
+    raw = np.frombuffer(data, np.uint8)
+    seps = low[(kind == ord(",")) | (kind == ord("\n"))]
+    # A line ended by a lone '\r', or by the end of data, holds no '\n'. So
+    # when each row's p-th separator is a '\n', each of the p lines ends at
+    # '\n' or '\r\n' (numpy ends a line there as at '\n', and csv.writer
+    # writes it), and the other separators are commas.
+    if seps.size != p * p or not (raw[seps[p - 1::p]] == ord("\n")).all():
         return None
-    if b"\r" in body:
-        # numpy ends a line at "\r\n" as at "\n", and csv.writer writes it
-        body = body.replace(b"\r\n", b"\n")
-    if not body.endswith(b"\n") or b"\r" in body:
-        return None
-    raw = np.frombuffer(body, np.uint8)
-    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    # p newlines in all, so when each row's p-th separator is one, the
-    # other separators are commas
-    if ends.size != p * p or not (raw[ends[p - 1::p]] == ord("\n")).all():
-        return None
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = (ends - starts).reshape(p, p)
-    if not (lengths == lengths.T).all() or lengths.max() >= 2**16:
-        return None
+    starts = np.empty_like(seps)
+    starts[0] = bounds[0]
+    starts[1:] = seps[:-1] + 1
     starts = starts.reshape(p, p)
-    # Token (j, i), j > i, against token (i, j), one token length at a time:
-    # the stable sort of 16-bit lengths is a radix sort, and the tokens of
-    # one length are items of a sliding window of that many bytes.
-    lower = np.tri(p, k=-1, dtype=bool)
+    ends = seps.reshape(p, p)
+    ends[:, -1] -= raw[ends[:, -1] - 1] == ord("\r")  # before a "\r\n"
+    lengths = ends - starts
+    if not _mirror_tokens_equal(data, starts, lengths):
+        return None
+    line = b",".join(data[a:b] for a, b in zip(starts.diagonal().tolist(),
+                                              ends[:, -1].tolist()))
+    # the comma after every (p | 1)-th token ends a line
+    width = p | 1
+    stops = lengths[~np.tri(p, k=-1, dtype=bool)] + 1
+    stops = (np.cumsum(stops, out=stops) - 1)[width - 1::width].tolist()
+    return [line[a + 1:b] for a, b in zip([-1, *stops], stops)]
+
+
+def _mirror_tokens_equal(data, starts, lengths):
+    """Whether token (j, i) has the bytes of token (i, j) for all i < j, the
+    p x p tokens of data having the offsets starts and the lengths lengths.
+
+    The lengths against their transpose first; then token (j, i), j > i,
+    against token (i, j), one token length at a time: the stable sort of
+    16-bit lengths is a radix sort, and the tokens of one length are items
+    of a sliding window of that many bytes."""
+    if not (lengths == lengths.T).all() or lengths.max() >= 2**16:
+        return False
+    lower = np.tri(len(lengths), k=-1, dtype=bool)
     sizes = lengths[lower].astype(np.uint16)
     order = np.argsort(sizes, kind="stable")
     below, above = starts[lower][order], starts.T[lower][order]
@@ -208,12 +258,11 @@ def _upper_triangle_line(body, lines):
     for size, count in enumerate(np.bincount(sizes).tolist()):
         lo, hi = hi, hi + count
         if size and count:
-            tokens = np.ndarray((raw.size - size + 1,), f"V{size}", body, 0,
+            tokens = np.ndarray((len(data) - size + 1,), f"V{size}", data, 0,
                                 (1,))
             if tokens[below[lo:hi]].tobytes() != tokens[above[lo:hi]].tobytes():
-                return None
-    return b",".join(body[start:end] for start, end in zip(
-        starts.diagonal().tolist(), ends[p - 1::p].tolist())).decode("ascii")
+                return False
+    return True
 
 
 def _mirrored(upper, p):

@@ -3,9 +3,11 @@ comparison of two trees' weight arrays through the exact discrepancy test.
 
 A tree is built by the permutation null's dense Prim (``prim_keys``), which
 reads a key matrix and leaves it as it is, keyed by Kruskal's edge order:
-each edge's rank in a stable sort of the weights, so the tree is Kruskal's
-with ties broken by (i, j). It is held as edge and weight arrays sorted by
-weight."""
+each edge's rank in the order (weight, i, j), so the tree is Kruskal's with
+ties broken by (i, j). When no two weights compare equal, the order is that
+of the weights alone, and numpy's default (unstable) sort finds it; when two
+do (-0.0 and 0.0 among them), a stable sort of the edges, listed by (i, j),
+does. It is held as edge and weight arrays sorted by weight."""
 
 from __future__ import annotations
 
@@ -43,9 +45,11 @@ def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
     exactly 0 is an absent edge, so the graph may give a forest; MAX_TREE
     runs Kruskal on the negated entries and reports the entries.
 
-    Prim keyed by each edge's rank in a stable sort of the upper triangle,
-    all distinct, takes Kruskal's tree with ties broken by (i, j); absent
-    edges get key E, above every rank, and are dropped. Other input is
+    Prim keyed by each edge's rank in the order (weight, i, j) of the
+    upper triangle, all distinct, takes Kruskal's tree with ties broken by
+    (i, j); absent edges get key E, above every rank, and are dropped. The
+    order is the default sort's when no two weights compare equal, there
+    being one ascending order; else the stable sort's. Other input is
     wrapped in a ConnectivityMatrix labelled V1..Vp.
     """
     mode = WeightMode(mode)
@@ -53,8 +57,9 @@ def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
         values = np.asarray(conn, dtype=np.float64)
         conn = ConnectivityMatrix(_default_labels(len(values)), values)
     p = conn.p
-    iu, ju = np.triu_indices(p, k=1)
-    s = conn.values[iu, ju]
+    upper = ~np.tri(p, dtype=bool)  # row-major, as np.triu_indices lists it
+    iu, ju = np.nonzero(upper)
+    s = conn.values[upper]
     edge = np.arange(s.size)
     if mode is WeightMode.DISTANCE:
         edge = edge[s != 0.0]
@@ -63,12 +68,17 @@ def mst_from_connectivity(conn, mode: WeightMode | str = WeightMode.DISTANCE,
         w = report = 1.0 - s
     else:
         w, report = -s, s
-    order = edge[np.argsort(w[edge], kind="stable")]
+    w = w[edge]
+    order = np.argsort(w)
+    ranked = w[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(w, kind="stable")  # ties in (i, j) order
+    order = edge[order]
     E = s.size
     rank = np.full(E, float(E))
     rank[order] = np.arange(order.size)
     keys = np.zeros((1, p, p))  # prim_keys reads the diagonal too
-    keys[0, iu, ju] = keys[0, ju, iu] = rank
+    keys[0][upper] = keys[0].T[upper] = rank
     taken = prim_keys(keys)[0]
     tree = order[taken[taken < E].astype(np.int64)]
     tree = tree[np.lexsort((tree, report[tree]))]  # by (weight, i, j)

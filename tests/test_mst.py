@@ -160,6 +160,79 @@ class TestFromConnectivity:
                 assert got.component_count == ref.component_count, (it, mode)
                 assert in_weight_order(got), (it, mode)
 
+    @staticmethod
+    def sorts_and_matches_kruskal(monkeypatch, s, mode):
+        """The kind of each argsort call that mst_from_connectivity makes
+        on s, after checking its forest against kruskal_of_matrix edge for
+        edge, signed zeros included."""
+        kinds = []
+        real = np.argsort
+
+        def spy(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return real(a, *args, **kwargs)
+
+        labels = tuple(f"n{k}" for k in range(len(s)))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", spy)
+            got = mst.mst_from_connectivity(ConnectivityMatrix(labels, s), mode)
+        ref = kruskal_of_matrix(s, mode)
+        assert np.array_equal(got.edges, ref.edges)
+        assert got.weights.tobytes() == ref.weights.tobytes()
+        assert got.component_count == ref.component_count
+        return kinds
+
+    @pytest.mark.parametrize("mode", list(mst.WeightMode))
+    def test_tie_free_weights_take_the_default_sort(self, monkeypatch, mode):
+        # 7,140 distinct weights: one ascending order, found by the
+        # unstable sort alone
+        rng = np.random.default_rng(5)
+        s = np.triu(rng.uniform(-1, 1, (120, 120)), 1)
+        s = s + s.T + np.eye(120)
+        w = s[np.triu_indices(120, 1)]
+        assert np.unique(1.0 - w if mode is mst.WeightMode.ONE_MINUS_SIMILARITY
+                         else w).size == w.size
+        assert self.sorts_and_matches_kruskal(monkeypatch, s, mode) == [None]
+
+    @pytest.mark.parametrize("mode", list(mst.WeightMode))
+    def test_one_planted_tie_takes_the_stable_sort(self, monkeypatch, mode):
+        # Distinct weights but one pair: edges (0, 2) and (1, 2) tie, and
+        # come right after edge (0, 1) in the mode's order, so only the
+        # first of them by (i, j) joins the tree.
+        rng = np.random.default_rng(6)
+        p = 60
+        s = np.triu(rng.uniform(0.1, 0.9, (p, p)), 1)
+        first, tied = ((0.01, 0.02) if mode is mst.WeightMode.DISTANCE
+                       else (0.99, 0.98))
+        s[0, 1], s[0, 2], s[1, 2] = first, tied, tied
+        s = s + s.T + np.eye(p)
+        assert np.unique(s[np.triu_indices(p, 1)]).size == p * (p - 1) // 2 - 1
+        assert self.sorts_and_matches_kruskal(monkeypatch, s, mode) == [
+            None, "stable"]
+        forest = mst.mst_from_connectivity(s, mode)
+        edges = set(map(tuple, forest.edges.tolist()))
+        assert (0, 2) in edges and (1, 2) not in edges
+
+    @pytest.mark.parametrize("mode", list(mst.WeightMode))
+    def test_signed_zeros_tie(self, monkeypatch, mode):
+        # Edges (0, 1) = -0.0 and (0, 2) = 0.0 compare equal: after edge
+        # (1, 2), the largest entry, only (0, 1) joins the tree, with its
+        # sign. In DISTANCE mode both are absent edges and no weights tie.
+        rng = np.random.default_rng(7)
+        p = 6
+        s = np.triu(rng.uniform(-0.9, -0.1, (p, p)), 1)
+        s = s + s.T + np.eye(p)
+        for (i, j), x in {(0, 1): -0.0, (0, 2): 0.0, (1, 2): 0.5}.items():
+            s[i, j] = s[j, i] = x
+        kinds = self.sorts_and_matches_kruskal(monkeypatch, s, mode)
+        if mode is mst.WeightMode.DISTANCE:
+            assert kinds == [None]
+        else:
+            assert kinds == [None, "stable"]
+            forest = mst.mst_from_connectivity(s, mode)
+            edges = forest.edges.tolist()
+            assert [0, 1] in edges and [0, 2] not in edges
+
     def test_asymmetric_rejected(self):
         values = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValidationError, match=r"\(0,1\)|\(1,0\)"):

@@ -346,21 +346,20 @@ def test_upper_triangle_parse_reads_as_csv_route(p, header, end, last_end,
         lines.insert(0, ",".join(f"n{k}" for k in range(p)))
     text = end.join(lines) + (end if last_end else "")
     upper = []
-    real = matrixio._upper_triangle_line
+    real = matrixio._upper_triangle_lines
 
-    def spy(body, lines):
-        line = real(body, lines)
-        upper.append(line is not None)
-        return line
+    def spy(*args):
+        lines = real(*args)
+        upper.append(lines is not None)
+        return lines
 
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/m.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
-        with patch.object(matrixio, "_upper_triangle_line", spy):
+        with patch.object(matrixio, "_upper_triangle_lines", spy):
             got = _read_outcome(path)
-        with patch.object(matrixio, "_loadtxt_body",
-                          lambda lines, body: None):
+        with patch.object(matrixio, "_loadtxt_body", lambda *args: None):
             assert _read_outcome(path) == got
     mirrored = all(tokens[i][j] == tokens[j][i]
                    for i in range(p) for j in range(i))
