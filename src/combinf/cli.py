@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from decimal import Decimal
@@ -17,7 +16,8 @@ from pathlib import Path
 from . import exact, mst, simulation, svgplot
 from .connectivity import heritability_index, twin_edgewise_correlation
 from .errors import DataError, ValidationError
-from .matrixio import CohortManifest, read_matrix_csv, write_matrix_csv
+from .matrixio import (read_cohort, read_json, read_matrix_csv,
+                       write_matrix_csv)
 
 _MODE_MAP = {
     "distance": mst.WeightMode.DISTANCE,
@@ -169,8 +169,8 @@ def _output_dir(path) -> Path:
 def _twin_map(manifest, symmetrize):
     """One cohort's twin map, loaded and correlated alone; each degenerate
     edge is reported on one stderr line."""
-    c, degenerate = twin_edgewise_correlation(
-        CohortManifest.load(manifest).load_cohort(), symmetrize=symmetrize)
+    c, degenerate = twin_edgewise_correlation(read_cohort(manifest),
+                                              symmetrize=symmetrize)
     for a, b in degenerate:
         print(f"warning: edge ({a}, {b}) is constant across pairs; "
               "correlation set to 0", file=sys.stderr)
@@ -197,13 +197,8 @@ def cmd_heritability(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
-    except (OSError, UnicodeDecodeError) as err:
-        raise DataError(f"cannot read config {args.config}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise DataError(f"{args.config}: invalid JSON: {err}") from err
-    cfg = simulation.SimulationConfig.from_json(doc)
+    cfg = simulation.SimulationConfig.from_json(
+        read_json(args.config, "config "))
     out = _output_dir(args.out)
 
     def progress(label, done, total):

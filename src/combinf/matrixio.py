@@ -1,11 +1,11 @@
-"""CSV connectivity-matrix files and JSON cohort manifests."""
+"""Every input file combinf reads: CSV connectivity matrices, JSON cohort
+manifests and JSON simulation configs; and the matrix CSVs it writes."""
 
 from __future__ import annotations
 
 import codecs
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from ._lazy import np
@@ -15,25 +15,83 @@ from .errors import DataError, ValidationError
 
 def read_matrix_csv(path, labels=None) -> ConnectivityMatrix:
     """Read a square numeric CSV, with an optional first header row of node
-    labels (detected when any first-row token is non-numeric). Labels, when
-    given, must equal the header of a file that has one; they default to
-    the header, else V1..Vp. ConnectivityMatrix validates the values and a
-    header before they are compared with the labels; its errors and a label
-    conflict are raised as DataError with the path."""
+    labels (detected when any first-row token is non-numeric). The nodes
+    take the header, else labels when there is one label per row, else
+    V1..Vp. ConnectivityMatrix validates the values under them; its errors
+    are raised as DataError with the path."""
     path = Path(path)
     header, values = _read_table(path)
+    if header is None:
+        header = (labels if labels is not None and len(labels) == len(values)
+                  else _default_labels(len(values)))
     try:
-        matrix = ConnectivityMatrix(
-            header or labels or _default_labels(len(values)), values)
-        if labels is not None and tuple(labels) != matrix.labels:
-            if len(labels) != matrix.p:
-                raise ValidationError(f"{len(labels)} labels for {matrix.p} nodes")
-            i = [h == k for h, k in zip(matrix.labels, labels)].index(False)
-            raise ValidationError(f"header has {matrix.labels[i]!r} at position "
-                                  f"{i}, the labels {labels[i]!r}")
+        return ConnectivityMatrix(header, values)
     except ValidationError as err:
         raise DataError(f"{path}: {err}") from err
-    return matrix
+
+
+def read_json(path, name=""):
+    """The document of a UTF-8 JSON file, a leading byte-order mark dropped;
+    name ("config ") names the kind of file in a read error."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except (OSError, UnicodeDecodeError) as err:
+        raise DataError(f"cannot read {name}{path}: {err}") from err
+    except json.JSONDecodeError as err:
+        raise DataError(f"{path}: invalid JSON: {err}") from err
+
+
+def read_cohort(path) -> TwinCohort:
+    """The twin pairs of a JSON cohort manifest,
+    {"pairs": [{"a": ..., "b": ...}, ...]} with an optional "labels_from"
+    matrix path, each path relative to the manifest's directory.
+
+    The whole manifest is checked before any matrix is read, and each file
+    is read once. With labels_from, a pair file without a header takes its
+    labels; a pair file is validated first, under its header, those labels
+    or V1..Vp, and then its labels must equal them."""
+    path = Path(path)
+    doc = read_json(path)
+    if not isinstance(doc, dict) or "pairs" not in doc:
+        raise DataError(f"{path}: manifest must be an object with 'pairs'")
+    raw_pairs = doc["pairs"]
+    if not isinstance(raw_pairs, list) or len(raw_pairs) < 3:
+        raise DataError(f"{path}: need at least 3 pairs, got "
+                        f"{len(raw_pairs) if isinstance(raw_pairs, list) else 'non-list'}")
+    base = path.parent
+    for k, item in enumerate(raw_pairs):
+        # an empty path would name the manifest's own directory
+        if not (isinstance(item, dict) and all(
+                isinstance(item.get(key), str) and item[key] for key in "ab")):
+            raise DataError(f"{path}: pairs[{k}] must have 'a' and 'b' "
+                            "non-empty path strings")
+    labels_from = doc.get("labels_from")
+    if labels_from is not None and not (isinstance(labels_from, str)
+                                        and labels_from):
+        raise DataError(
+            f"{path}: 'labels_from' must be a non-empty path string")
+    labels = (None if labels_from is None
+              else read_matrix_csv(base / labels_from).labels)
+
+    def read(pair_path):
+        matrix = read_matrix_csv(pair_path, labels)
+        if labels is None or matrix.labels == labels:
+            return matrix
+        if len(labels) != matrix.p:
+            conflict = f"{len(labels)} labels for {matrix.p} nodes"
+        else:
+            i = [h == k for h, k in zip(matrix.labels, labels)].index(False)
+            conflict = (f"header has {matrix.labels[i]!r} at position {i}, "
+                        f"the labels {labels[i]!r}")
+        raise DataError(
+            f"{pair_path}: labels from {base / labels_from}: {conflict}")
+
+    pairs = tuple((read(base / item["a"]), read(base / item["b"]))
+                  for item in raw_pairs)
+    try:
+        return TwinCohort(pairs=pairs)
+    except ValidationError as err:
+        raise DataError(f"inconsistent cohort: {err}") from err
 
 
 def write_matrix_csv(matrix, path) -> None:
@@ -167,13 +225,16 @@ def _loadtxt_body(data, bounds, low, kind):
     (_upper_triangle_lines), whose values are then mirrored. On an ASCII
     token it gives float()'s double, non-finite ones included, or rejects
     it ('1_0', '"1"', '#'), except that it also strips the separators
-    '\\x1c' to '\\x1f'. Left to the csv route: non-ASCII text, those four
-    characters, a line longer than the csv field limit, a body with no rows
-    (on which numpy warns), and a ragged or non-square body. Only the ASCII
-    check reads the whole body; the others read low and kind."""
+    '\\x1c' to '\\x1f'. It reads the bytes as latin-1, and the latin-1
+    reading of a UTF-8 character that is not ASCII starts with a letter
+    from '\\xc2' to '\\xf4', so it rejects a token that holds one (float()
+    may read it: U+00A0 padding, a fullwidth digit). Left to the csv
+    route: those tokens, the four separators, a line longer than the csv
+    field limit, a body with no rows (on which numpy warns), and a ragged
+    or non-square body."""
     p = len(bounds) - 1
     start = bounds[0]
-    if (p == 0 or np.frombuffer(data, np.uint8)[start:].max() >= 0x80
+    if (p == 0
             # numpy strips these as whitespace and float() rejects them
             or ((0x1c <= kind) & (kind <= 0x1f)).any()
             # a blank body is whitespace, all of it bytes up to ','
@@ -184,7 +245,8 @@ def _loadtxt_body(data, bounds, low, kind):
     upper = _upper_triangle_lines(data, bounds, low, kind)
     lines = upper or [data[a:b] for a, b in zip(bounds, bounds[1:])]
     try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                            encoding="latin1")
     except ValueError:
         return None
     if upper is not None:
@@ -193,7 +255,7 @@ def _loadtxt_body(data, bounds, low, kind):
 
 
 def _upper_triangle_lines(data, bounds, low, kind):
-    """Tokens (i, j), j >= i, of an ASCII body in row-major order, as lines
+    """Tokens (i, j), j >= i, of a body in row-major order, as lines
     of p | 1 comma-separated tokens, when the body, the p lines
     data[bounds[k]:bounds[k + 1]] with the bytes kind at the offsets low,
     all of its bytes up to ',', has p comma-separated tokens on each line,
@@ -273,67 +335,3 @@ def _mirrored(upper, p):
     values[mask] = upper
     values.T[mask] = upper
     return values
-
-
-@dataclass(frozen=True)
-class CohortManifest:
-    """Paths to paired twin matrices: {"pairs": [{"a": ..., "b": ...}, ...]}
-    with an optional "labels_from" matrix path."""
-
-    pairs: tuple[tuple[Path, Path], ...]
-    labels_from: Path | None = None
-
-    @classmethod
-    def load(cls, path) -> "CohortManifest":
-        path = Path(path)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8-sig"))
-        except (OSError, UnicodeDecodeError) as err:
-            raise DataError(f"cannot read {path}: {err}") from err
-        except json.JSONDecodeError as err:
-            raise DataError(f"{path}: invalid JSON: {err}") from err
-        if not isinstance(doc, dict) or "pairs" not in doc:
-            raise DataError(f"{path}: manifest must be an object with 'pairs'")
-        raw_pairs = doc["pairs"]
-        if not isinstance(raw_pairs, list) or len(raw_pairs) < 3:
-            raise DataError(f"{path}: need at least 3 pairs, got "
-                            f"{len(raw_pairs) if isinstance(raw_pairs, list) else 'non-list'}")
-        base = path.parent
-        pairs = []
-        for k, item in enumerate(raw_pairs):
-            # an empty path would name the manifest's own directory
-            if not (isinstance(item, dict) and all(
-                    isinstance(item.get(key), str) and item[key] for key in "ab")):
-                raise DataError(f"{path}: pairs[{k}] must have 'a' and 'b' "
-                                "non-empty path strings")
-            pairs.append((base / item["a"], base / item["b"]))
-        labels_from = doc.get("labels_from")
-        if labels_from is not None and not (isinstance(labels_from, str)
-                                            and labels_from):
-            raise DataError(
-                f"{path}: 'labels_from' must be a non-empty path string")
-        labels_from = None if labels_from is None else base / labels_from
-        return cls(pairs=tuple(pairs), labels_from=labels_from)
-
-    def load_cohort(self) -> TwinCohort:
-        labels = None
-        if self.labels_from is not None:
-            labels = read_matrix_csv(self.labels_from).labels
-        pairs = []
-        for pa, pb in self.pairs:
-            pair = []
-            for path in (pa, pb):
-                try:
-                    pair.append(read_matrix_csv(path, labels))
-                except DataError as err:
-                    if labels is None:
-                        raise
-                    read_matrix_csv(path)  # the file's own errors come first
-                    # past them, only the label count or the header can fail
-                    raise DataError(f"{path}: labels from "
-                                    f"{self.labels_from}: {err.__cause__}") from err
-            pairs.append(tuple(pair))
-        try:
-            return TwinCohort(pairs=tuple(pairs))
-        except ValidationError as err:
-            raise DataError(f"inconsistent cohort: {err}") from err

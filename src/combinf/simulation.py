@@ -35,7 +35,8 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# The JSON shape of each config key: a test and what it demands.
+# The JSON shape of each config key, in field order: a test and what it
+# demands. A tuple passes where the shape says list.
 _JSON_SHAPES = {
     "seed": (_is_int, "an integer"),
     "n": (_is_int, "an integer"),
@@ -43,12 +44,12 @@ _JSON_SHAPES = {
     "sigma": (_is_number, "a number"),
     "replications": (_is_int, "an integer"),
     "permutation_fractions": (
-        lambda v: isinstance(v, list) and all(map(_is_number, v)),
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
         "a list of numbers"),
     "pairings": (
-        lambda v: isinstance(v, list) and all(
-            isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
-            for pair in v),
+        lambda v: isinstance(v, (list, tuple)) and all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(map(_is_int, pair)) for pair in v),
         "a list of [integer, integer] pairs"),
     "weight_mode": (lambda v: isinstance(v, str), "a string"),
 }
@@ -98,6 +99,12 @@ class SimulationConfig:
     weight_mode: str = "correlation"
 
     def __post_init__(self):
+        """Each value's type and shape, then its range; a fault raises
+        ValidationError naming its key."""
+        for key, (test, shape) in _JSON_SHAPES.items():
+            value = getattr(self, key)
+            if not test(value):
+                raise ValidationError(f"/{key}: must be {shape}, got {value!r}")
         if self.seed < 0:
             raise ValidationError(f"/seed: need seed >= 0, got {self.seed}")
         if self.weight_mode not in tuple(_WEIGHT_MODES):
@@ -159,19 +166,16 @@ class SimulationConfig:
 
     @classmethod
     def from_json(cls, doc) -> "SimulationConfig":
-        """Config from parsed JSON; a value of the wrong type or shape
-        raises ValidationError naming its key."""
+        """Config from parsed JSON; a document that is not an object, has no
+        seed or has an unknown key raises ValidationError naming it."""
         if not isinstance(doc, dict):
             raise ValidationError(
                 f"/: config must be a JSON object, got {type(doc).__name__}")
         if "seed" not in doc:
             raise ValidationError("/seed: required")
-        for key, value in doc.items():
+        for key in doc:
             if key not in _JSON_SHAPES:
                 raise ValidationError(f"/{key}: unknown config key")
-            test, shape = _JSON_SHAPES[key]
-            if not test(value):
-                raise ValidationError(f"/{key}: must be {shape}, got {value!r}")
         return cls(**doc)
 
     def to_json(self) -> dict:
@@ -222,16 +226,17 @@ class ExperimentReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
     def to_text_table(self) -> str:
-        methods = self.methods
-        width = 20
-        header = "pairing".ljust(10) + "".join(m.ljust(width) for m in methods)
-        lines = [header, "-" * len(header)]
-        for pairing in self.pvalues:
-            cells = [
-                f"{self.mean(pairing, m):.3f} +/- {self.std(pairing, m):.3f}".ljust(width)
-                for m in methods
-            ]
-            lines.append(pairing.ljust(10) + "".join(cells))
+        """Pairings down, methods across; each column is 10 (the first) or
+        20 characters wide, or as wide as its longest entry and 2 spaces."""
+        rows = [["pairing", *self.methods]] + [
+            [pairing, *(f"{self.mean(pairing, m):.3f} +/- "
+                        f"{self.std(pairing, m):.3f}" for m in self.methods)]
+            for pairing in self.pvalues]
+        widths = [max(10 if k == 0 else 20, *(len(cell) + 2 for cell in column))
+                  for k, column in enumerate(zip(*rows))]
+        lines = ["".join(cell.ljust(w) for cell, w in zip(row, widths))
+                 for row in rows]
+        lines.insert(1, "-" * len(lines[0]))
         return "\n".join(lines) + "\n"
 
 

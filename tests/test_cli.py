@@ -18,7 +18,7 @@ import combinf
 from combinf import cli, matrixio
 from combinf.connectivity import ConnectivityMatrix, DataMatrix, pearson_correlation_matrix
 from combinf.errors import DataError
-from combinf.matrixio import CohortManifest, read_matrix_csv, write_matrix_csv
+from combinf.matrixio import read_cohort, read_matrix_csv, write_matrix_csv
 from exact_reference import band_pvalue
 
 
@@ -181,6 +181,9 @@ _ROUTE_CASES = {
     "quoted_number": ('"1",0\n0,1\n', "csv", ("V1", "V2")),
     "underscore": ("1_0,0\n0,1\n", "csv", ("V1", "V2")),
     "arabic_digit": ("\u0661,0\n0,1\n", "csv", ("V1", "V2")),
+    # numpy reads the bytes as latin-1 and rejects these; float() reads them
+    "nbsp_padded_and_fullwidth": ("a,b\n\uff11,\u00a00.5\n\u00a00.5,\uff11\n",
+                                  "csv", ("a", "b")),
     "whitespace_line": ("1,0\n \n0,1\n", "csv", "row 1 has 2 columns"),
     "form_feed_inside": ("a\n1\x0c2\n", "csv", "cannot parse '1\\x0c2'"),
     "form_feed_strip": ("1,0\x0c\n0\x0c,1\n", "upper", ("V1", "V2")),
@@ -371,17 +374,14 @@ class TestManifest:
 
     def test_load_cohort(self, rng, tmp_path):
         path = self.write_cohort(rng, tmp_path, ("x", "y", "z"))
-        cohort = CohortManifest.load(path).load_cohort()
+        cohort = read_cohort(path)
         assert cohort.labels == ("x", "y", "z")
         assert len(cohort.pairs) == 3
 
-    def test_labels_from_builds_one_matrix_per_file(self, rng, tmp_path,
-                                                    monkeypatch):
-        path = self.write_cohort(rng, tmp_path, ("p", "q", "r"), m=4)
-        write_matrix_csv(random_corr(rng, ("p", "q", "r")),
-                         tmp_path / "labels.csv")
-        doc = json.loads(path.read_text())
-        path.write_text(json.dumps({**doc, "labels_from": "labels.csv"}))
+    @staticmethod
+    def count_reads(monkeypatch):
+        """The labels of each ConnectivityMatrix built and the name of each
+        file read through read_matrix_csv, as they happen."""
         built, read = [], []
 
         class Counted(ConnectivityMatrix):
@@ -395,13 +395,72 @@ class TestManifest:
 
         monkeypatch.setattr(matrixio, "ConnectivityMatrix", Counted)
         monkeypatch.setattr(matrixio, "read_matrix_csv", counted_read)
-        cohort = CohortManifest.load(path).load_cohort()
+        return built, read
+
+    def test_labels_from_builds_one_matrix_per_file(self, rng, tmp_path,
+                                                    monkeypatch):
+        path = self.write_cohort(rng, tmp_path, ("p", "q", "r"), m=4)
+        write_matrix_csv(random_corr(rng, ("p", "q", "r")),
+                         tmp_path / "labels.csv")
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "labels_from": "labels.csv"}))
+        built, read = self.count_reads(monkeypatch)
+        cohort = read_cohort(path)
         assert cohort.labels == ("p", "q", "r")
         # the labels file, then each of the 8 pair files once, each read
         # through read_matrix_csv
         assert built == [("p", "q", "r")] * 9
         assert read == ["labels.csv"] + [f"{side}{k}.csv" for k in range(4)
                                          for side in "ab"]
+
+    def test_conflicting_pair_file_is_read_once(self, rng, tmp_path,
+                                                monkeypatch):
+        path = self.write_cohort(rng, tmp_path, ("p", "q", "r"))
+        write_matrix_csv(random_corr(rng, ("p", "q", "r")),
+                         tmp_path / "labels.csv")
+        write_matrix_csv(random_corr(rng, ("p", "r", "q")),
+                         tmp_path / "b1.csv")
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "labels_from": "labels.csv"}))
+        built, read = self.count_reads(monkeypatch)
+        with pytest.raises(DataError) as err:
+            read_cohort(path)
+        assert str(err.value) == (
+            f"{tmp_path / 'b1.csv'}: labels from {tmp_path / 'labels.csv'}: "
+            "header has 'r' at position 1, the labels 'q'")
+        # b1 is read and validated once, under its own header, and then
+        # compared with the labels
+        assert read == ["labels.csv", "a0.csv", "b0.csv", "a1.csv", "b1.csv"]
+        assert built == [("p", "q", "r")] * 4 + [("p", "r", "q")]
+
+    @pytest.mark.parametrize("text, error", [
+        ("1,0.5\n0.25,1\n", "matrix not symmetric at (0,1)"),
+        ("1,0,0\n0,1,0\n0,0,1\n", "labels from {}: 2 labels for 3 nodes"),
+        ("1,0,0\n0,1,0\n0,1,1\n", "matrix not symmetric at (1,2)"),
+    ], ids=["own_error_under_labels", "count", "own_error_under_v1_vp"])
+    def test_headerless_pair_file_errors(self, rng, tmp_path, text, error):
+        # a headerless pair file is validated under the labels when there is
+        # one per row, else under V1..Vp; its own errors come first
+        path = self.write_cohort(rng, tmp_path, ("p", "q"))
+        write_matrix_csv(random_corr(rng, ("p", "q")), tmp_path / "labels.csv")
+        (tmp_path / "a1.csv").write_text(text)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "labels_from": "labels.csv"}))
+        with pytest.raises(DataError) as err:
+            read_cohort(path)
+        assert str(err.value).startswith(
+            f"{tmp_path / 'a1.csv'}: "
+            + error.format(tmp_path / "labels.csv"))
+
+    def test_read_matrix_csv_labels_name_a_headerless_file(self, tmp_path):
+        # the labels name the nodes of a file without a header that has one
+        # row per label, and no other
+        path = tmp_path / "m.csv"
+        path.write_text("1,0.5\n0.5,1\n")
+        assert read_matrix_csv(path, ("p", "q")).labels == ("p", "q")
+        assert read_matrix_csv(path, ("p", "q", "r")).labels == ("V1", "V2")
+        path.write_text("x,y\n1,0.5\n0.5,1\n")
+        assert read_matrix_csv(path, ("p", "q")).labels == ("x", "y")
 
     def test_labels_from_pair_file_errors_name_the_file(self, rng, tmp_path,
                                                         capsys):
@@ -412,7 +471,7 @@ class TestManifest:
         doc = json.loads(path.read_text())
         path.write_text(json.dumps({**doc, "labels_from": "labels.csv"}))
         with pytest.raises(DataError) as err:
-            CohortManifest.load(path).load_cohort()
+            read_cohort(path)
         assert str(err.value).startswith(f"{tmp_path / 'b1.csv'}: matrix not "
                                          "symmetric")
 
@@ -425,11 +484,11 @@ class TestManifest:
         # a pair file without a header takes the labels
         np.savetxt(tmp_path / "a0.csv", random_corr(rng, labels).values,
                    fmt="%.17g", delimiter=",")
-        assert CohortManifest.load(path).load_cohort().labels == labels
+        assert read_cohort(path).labels == labels
         write_matrix_csv(random_corr(rng, ("a", "b", "d", "c")),
                          tmp_path / "b1.csv")
         with pytest.raises(DataError) as err:
-            CohortManifest.load(path).load_cohort()
+            read_cohort(path)
         assert str(err.value) == (
             f"{tmp_path / 'b1.csv'}: labels from {tmp_path / 'labels.csv'}: "
             "header has 'd' at position 2, the labels 'c'")
@@ -438,13 +497,13 @@ class TestManifest:
         path = tmp_path / "cohort.json"
         path.write_text(json.dumps({"pairs": [{"a": "x.csv", "b": "y.csv"}]}))
         with pytest.raises(DataError, match="3 pairs"):
-            CohortManifest.load(path)
+            read_cohort(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "cohort.json"
         path.write_text("{")
         with pytest.raises(DataError, match="invalid JSON"):
-            CohortManifest.load(path)
+            read_cohort(path)
 
 
 class TestCliPvalue:
@@ -968,7 +1027,7 @@ class TestCliDataErrors:
         # Excel's "CSV UTF-8" and some editors start a file with the mark
         manifest = self.manifest(rng, tmp_path)
         manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
-        assert len(CohortManifest.load(manifest).pairs) == 3
+        assert len(read_cohort(manifest).pairs) == 3
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({
             "seed": 3, "n": 4, "p": 4, "replications": 1,

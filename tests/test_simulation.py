@@ -105,6 +105,35 @@ class TestConfig:
         with pytest.raises(ValidationError, match="/replications"):
             sim.SimulationConfig(seed=1, replications=0)
 
+    @pytest.mark.parametrize("kwargs, text", [
+        ({"seed": True}, "/seed: must be an integer, got True"),
+        ({"replications": 1.5}, "/replications: must be an integer, got 1.5"),
+        ({"n": 10.0}, "/n: must be an integer, got 10.0"),
+        ({"permutation_fractions": 0.5},
+         "/permutation_fractions: must be a list of numbers, got 0.5"),
+        ({"pairings": ((0, 0), (4, "5"))},
+         "/pairings: must be a list of [integer, integer] pairs, got "
+         "((0, 0), (4, '5'))"),
+    ], ids=["bool_seed", "float_replications", "float_n", "scalar_fractions",
+            "string_module_count"])
+    def test_library_values_are_type_checked(self, kwargs, text):
+        # the config file's checks serve a library caller too
+        with pytest.raises(ValidationError) as err:
+            sim.SimulationConfig(**{"seed": 1, **kwargs})
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("doc, text", [
+        ({"seed": 1, "p": "x", "bogus": 2}, "/bogus: unknown config key"),
+        ({"seed": 1, "p": "x", "n": "y"}, "/n: must be an integer, got 'y'"),
+        ({"seed": -1, "weight_mode": 3}, "/weight_mode: must be a string, got 3"),
+    ], ids=["unknown_key_first", "field_order", "type_before_range"])
+    def test_first_of_several_faults(self, doc, text):
+        # An unknown key is reported first, then the first value of the
+        # wrong type in field order, then the first value out of range.
+        with pytest.raises(ValidationError) as err:
+            sim.SimulationConfig.from_json(doc)
+        assert str(err.value) == text
+
     def test_json_round_trip(self):
         cfg = sim.SimulationConfig(seed=5, n=6, p=12, replications=2,
                                    pairings=((0, 0), (3, 4)))
@@ -509,6 +538,23 @@ class TestExperiment:
         cfg = sim.SimulationConfig(**{**self.CFG, "replications": 1})
         report = sim.run_experiment(cfg)
         assert report.std("0 vs 0", "combinatorial") == 0.0
+
+    def test_text_table_widths(self):
+        # Short labels keep the widths 10 and 20; a longer label widens its
+        # column to its length and 2 spaces.
+        def table(pvalues):
+            return sim.ExperimentReport(config=sim.SimulationConfig(seed=1),
+                                        pvalues=pvalues).to_text_table()
+        assert table({"0 vs 0": {"combinatorial": [0.25, 0.75],
+                                 "permute_5%": [0.5]}}) == (
+            "pairing   combinatorial       permute_5%          \n"
+            + "-" * 50 + "\n"
+            "0 vs 0    0.500 +/- 0.354     0.500 +/- 0.000     \n")
+        assert table({"100 vs 200": {"combinatorial": [0.463],
+                                     "permute_1.23457e-05%": [0.5]}}) == (
+            "pairing     combinatorial       permute_1.23457e-05%  \n"
+            + "-" * 54 + "\n"
+            "100 vs 200  0.463 +/- 0.000     0.500 +/- 0.000       \n")
 
     def test_text_table_mentions_all_cells(self):
         report = sim.run_experiment(sim.SimulationConfig(**self.CFG))
