@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Each subcommand is one entry of `_SUBCOMMANDS`: its help text and the
+function that adds its arguments and returns its `cmd_*`. A command line
+builds the parser of its own subcommand only (`build_parser`).
+
 Exit codes: 0 success, 1 usage or parameter validation, 2 data error.
 """
 
@@ -217,18 +221,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="combinf",
-                     description="Exact combinatorial inference on MST shapes "
-                                 "of connectivity networks")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pvalue", help="exact P(D_q >= d)")
+def _pvalue_arguments(p):
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_pvalue)
+    return cmd_pvalue
 
-    p = sub.add_parser("compare", help="compare the spanning trees of two matrices")
+
+def _compare_arguments(p):
     p.add_argument("matrix_a")
     p.add_argument("matrix_b")
     p.add_argument("--mode", choices=sorted(_MODE_MAP), default="distance")
@@ -236,27 +235,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--localize-radius", type=_radius, default=None)
     p.add_argument("--svg", default=None, help="write growth-curve plot")
     p.add_argument("--csv", default=None, help="write both step functions")
-    p.set_defaults(func=cmd_compare)
+    return cmd_compare
 
-    p = sub.add_parser("heritability", help="twin heritability pipeline")
+
+def _heritability_arguments(p):
     p.add_argument("--mz", required=True, help="MZ cohort manifest (JSON)")
     p.add_argument("--dz", required=True, help="DZ cohort manifest (JSON)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--symmetrize", action="store_true")
     p.add_argument("--localize-center", type=_center, default=None)
     p.add_argument("--localize-radius", type=_radius, default=None)
-    p.set_defaults(func=cmd_heritability)
+    return cmd_heritability
 
-    p = sub.add_parser("simulate", help="modular-network benchmark")
+
+def _simulate_arguments(p):
     p.add_argument("--config", required=True, help="SimulationConfig JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
+    return cmd_simulate
 
+
+# name -> (help text, a function that adds the subcommand's arguments to its
+# parser and returns the function that runs it), in the order of -h.
+_SUBCOMMANDS = {
+    "pvalue": ("exact P(D_q >= d)", _pvalue_arguments),
+    "compare": ("compare the spanning trees of two matrices", _compare_arguments),
+    "heritability": ("twin heritability pipeline", _heritability_arguments),
+    "simulate": ("modular-network benchmark", _simulate_arguments),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for one command line (None: sys.argv[1:]). It registers
+    only the subcommand that argv[0] names, or every subcommand when argv[0]
+    names none, so that -h and an unknown or missing command list them all;
+    argparse then parses argv as it would with all of them registered."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _Parser(prog="combinf",
+                     description="Exact combinatorial inference on MST shapes "
+                                 "of connectivity networks")
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = [argv[0]] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        help_text, add_arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=add_arguments(p))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if (getattr(args, "localize_radius", None) is not None

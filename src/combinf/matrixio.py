@@ -32,9 +32,11 @@ def read_matrix_csv(path, labels=None) -> ConnectivityMatrix:
 
 def read_json(path, name=""):
     """The document of a UTF-8 JSON file, a leading byte-order mark dropped;
-    name ("config ") names the kind of file in a read error."""
+    name ("config ") names the kind of file in a read error, which spells
+    the path as Path(path) does."""
+    path = Path(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {name}{path}: {err}") from err
     except json.JSONDecodeError as err:

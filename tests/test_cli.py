@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -538,6 +539,90 @@ class TestCliPvalue:
         assert len(den) > 4300  # CPython's default limit
 
 
+_TOP_HELP = """\
+usage: combinf [-h] {pvalue,compare,heritability,simulate} ...
+
+Exact combinatorial inference on MST shapes of connectivity networks
+
+positional arguments:
+  {pvalue,compare,heritability,simulate}
+    pvalue              exact P(D_q >= d)
+    compare             compare the spanning trees of two matrices
+    heritability        twin heritability pipeline
+    simulate            modular-network benchmark
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+# argv -> (exit code, stdout, stderr); the texts are those
+# the parser gave when it registered every subcommand on every command line.
+_PARSE_CASES = {
+    "empty": ([], 1, "", "usage error: the following arguments are required: "
+              "command\n"),
+    "unknown_command": (["bogus"], 1, "", (
+        "usage error: argument command: invalid choice: 'bogus' (choose from "
+        "'pvalue', 'compare', 'heritability', 'simulate')\n")),
+    "help": (["-h"], 0, _TOP_HELP, ""),
+    "pvalue_help": (["pvalue", "-h"], 0,
+                    "usage: combinf pvalue [-h] --q Q --d D\n", ""),
+    "compare_help": (["compare", "-h"], 0, (
+        "usage: combinf compare [-h] [--mode {distance,max-tree,one-minus}]\n"
+        "                       [--localize-center LOCALIZE_CENTER]\n"
+        "                       [--localize-radius LOCALIZE_RADIUS] [--svg SVG]\n"
+        "                       [--csv CSV]\n"
+        "                       matrix_a matrix_b\n"), ""),
+    "missing_option": (["pvalue", "--q", "3"], 1, "",
+                       "usage error: the following arguments are required: --d\n"),
+    "extra_argument": (["pvalue", "--q", "3", "--d", "1", "extra"], 1, "",
+                       "usage error: unrecognized arguments: extra\n"),
+    "missing_positional": (["compare", "a.csv"], 1, "", (
+        "usage error: the following arguments are required: matrix_b\n")),
+    "abbreviated_option": (["compare", "a.csv", "b.csv", "--localize-c", "0.2"],
+                           0, ("q = 2\nD = 1 at weight 0.1\n"
+                               "p-value = 1 (exact 1/1)\n"
+                               "nodes within 0 of weight 0.2:\n  a\n  c\n"), ""),
+    "radius_without_center": (
+        ["compare", "a.csv", "b.csv", "--localize-radius", "0.5"], 1, "",
+        "usage error: --localize-radius needs --localize-center\n"),
+}
+
+
+class TestCliParser:
+    @pytest.mark.parametrize("case", _PARSE_CASES.values(), ids=_PARSE_CASES)
+    def test_command_line_outputs(self, tmp_path, capsys, monkeypatch, case):
+        argv, code, out, err = case
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this
+        (tmp_path / "a.csv").write_text("a,b,c\n1,0.9,0.2\n0.9,1,0.4\n0.2,0.4,1\n")
+        (tmp_path / "b.csv").write_text("a,b,c\n1,0.1,0.7\n0.1,1,0.3\n0.7,0.3,1\n")
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exit_:  # -h prints its help and exits
+            rc = exit_.code
+        got = capsys.readouterr()
+        assert rc == code
+        stdout = got.out
+        if argv[1:] == ["-h"]:  # a subcommand's help, checked by its usage
+            stdout = stdout.partition("\n\n")[0] + "\n"
+        assert (stdout, got.err) == (out, err)
+
+    @pytest.mark.parametrize("argv, built", [
+        (["pvalue", "--q", "3", "--d", "2"], 1), ([], 4), (["bogus"], 4)])
+    def test_builds_only_the_named_subcommand(self, capsys, monkeypatch, argv,
+                                              built):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        cli.main(argv)
+        assert len(calls) == built
+
+
 class TestCliCompare:
     def write_pair(self, rng, tmp_path, same=False):
         labels = ("a", "b", "c", "d", "e")
@@ -993,6 +1078,21 @@ class TestCliSimulate:
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 2
         capsys.readouterr()
+
+    def test_read_errors_spell_config_and_manifest_paths_alike(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text("{bad")
+        invalid = ("bad.json: invalid JSON: Expecting property name enclosed "
+                   "in double quotes: line 1 column 2 (char 1)")
+        for name, argv in (("config ", ["simulate", "--config"]),
+                           ("", ["heritability", "--dz", "x", "--mz"])):
+            assert cli.main([*argv, "./nope.json", "--out", "o"]) == 2
+            assert capsys.readouterr() == ("", (
+                f"data error: cannot read {name}nope.json: [Errno 2] No such "
+                "file or directory: 'nope.json'\n"))
+            assert cli.main([*argv, "./bad.json", "--out", "o"]) == 2
+            assert capsys.readouterr() == ("", f"data error: {invalid}\n")
 
 
 class TestCliDataErrors:
