@@ -29,14 +29,19 @@ from .errors import ValidationError
 
 # Cells in each of the two (2 x chunk, p, p) float64 buffers that one chunk
 # of the null runs in: chunk = max(1, _CHUNK_CELLS // (2 p^2)) relabelings,
-# 40 at p = 40, 4 at p = 116 and 1 from p = 256 on. The buffers are
-# allocated once per call, at most 1 MiB each up to p = 256 and 2 p^2 cells
-# above, so memory does not grow with the count. Measured per relabeling (n = 20, p = 116, 2-CPU
-# machine, numpy 2.4.6, medians of 7): 2**15 cells 1.58 ms, 2**16 0.90,
-# 2**17 0.62, 2**18 0.44, 2**19 0.37. Larger chunks gain less and less while
-# the buffers grow with them; a process that runs 20 relabelings at p = 400
-# peaks at 41 MiB.
-_CHUNK_CELLS = 2 ** 17
+# 163 at p = 40, 19 at p = 116, 4 at p = 256 and 1 from p = 363 on. The
+# buffers are allocated once per call, at most 4 MiB each up to p = 512 and
+# 2 p^2 cells above, so memory does not grow with the count past one chunk.
+# Each chunk pays p - 1 Prim steps whatever its size, and 2**19 is the
+# smallest power of two that runs each of the benchmark's p = 40 listings
+# (47 and 93 relabelings) as one chunk. Measured per relabeling for
+# 2**17, 2**18, 2**19, 2**20 and 2**21 cells (2-CPU machine, numpy 2.4.6,
+# medians of 15 interleaved calls): n = 10, p = 40, 93 relabelings 0.039,
+# 0.037, 0.035, 0.035, 0.034 ms; n = 20, p = 116, 200 relabelings 0.314,
+# 0.271, 0.263, 0.244, 0.255 ms. Past 2**19 the gain is small and the
+# buffers double; the tracemalloc peak of one call is 10.0 MiB at p = 116,
+# 9.0 at p = 256 and 5.4 at p = 400.
+_CHUNK_CELLS = 2 ** 19
 
 
 class WeightMode(str, Enum):
@@ -59,30 +64,43 @@ class WeightMode(str, Enum):
 def prim_keys(w):
     """Keys of the edges a dense Prim from node 0 takes, in the order it
     takes them, for each p x p key matrix in an (m, p, p) stack; returns an
-    (m, p - 1) array.
+    (m, p - 1) array, the transposed view of a (p - 1, m) one.
 
-    w is read, never written. Its keys, the diagonal included, must be
-    finite (the diagonal is read but never taken), so the result is finite.
+    Each of the p - 1 steps serves all m matrices at once: it takes each
+    matrix's nearest node not yet taken (the first by index on a tie),
+    then gathers those nodes' key rows from a flat (m p, p) view of w, by
+    one flat index per matrix, into a row buffer reused by every step. w
+    is read, never written; a stack that is not C-contiguous is copied
+    once. The keys, the diagonal included, must be finite (the diagonal is
+    read but never taken), so the result is finite.
     A graph whose keys are all distinct has exactly one MST, so with edge
     ranks as keys the result is Kruskal's tree; every MST has the same
     multiset of keys, so with tied weights as keys the multiset does not
     depend on tie order.
     """
     m, p, _ = w.shape
-    rows = np.arange(m)
+    # Row v of matrix k is row k p + v of flat; the same flat index names
+    # node v of matrix k in dist and floor.
+    flat = np.ascontiguousarray(w).reshape(m * p, p)
+    base = np.arange(0, m * p, p)
     # -inf for a node not yet taken, +inf once taken: the maximum with it
     # keeps a taken node's distance at +inf, so it is never taken again.
     floor = np.full((m, p), -np.inf)
     floor[:, 0] = np.inf
     dist = np.maximum(w[:, 0], floor)
-    out = np.empty((m, p - 1))
+    floor_flat, dist_flat = floor.reshape(-1), dist.reshape(-1)
+    out = np.empty((p - 1, m))
+    row = np.empty((m, p))
     for step in range(p - 1):
-        v = dist.argmin(axis=1)
-        out[:, step] = dist[rows, v]
-        floor[rows, v] = np.inf
-        np.minimum(dist, w[rows, v], out=dist)
+        idx = dist.argmin(axis=1)
+        idx += base
+        # Every index is in range; mode="clip" takes into out unbuffered.
+        dist_flat.take(idx, out=out[step], mode="clip")
+        floor_flat[idx] = np.inf
+        flat.take(idx, axis=0, out=row, mode="clip")
+        np.minimum(dist, row, out=dist)
         np.maximum(dist, floor, out=dist)
-    return out
+    return out.T
 
 
 def correlations(x, describe, out=None, work=None):

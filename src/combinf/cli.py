@@ -13,7 +13,7 @@ import argparse
 import csv
 import os
 import sys
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,8 +43,16 @@ def _format_pvalue(pv: Fraction) -> str:
     # Decimal prints integers of any length; str() of an int refuses more
     # than sys.get_int_max_str_digits() digits, which C(2q, q) passes at
     # q ~ 7140. These integers are computed here, not read from input.
-    return (f"{float(pv):.6g} (exact {Decimal(pv.numerator)}/"
-            f"{Decimal(pv.denominator)})")
+    num, den = Decimal(pv.numerator), Decimal(pv.denominator)
+    if 0 < pv and float(pv) < sys.float_info.min:
+        # A subnormal double holds fewer than 6 digits, and none below about
+        # 2.5e-324: round the exact quotient instead, in %.6g's notation.
+        six = Context(prec=6).divide(num, den)
+        exp = six.adjusted()
+        shown = f"{six.scaleb(-exp).normalize()}e{exp:+03d}"
+    else:
+        shown = f"{float(pv):.6g}"
+    return f"{shown} (exact {num}/{den})"
 
 
 def cmd_pvalue(args) -> int:

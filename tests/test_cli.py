@@ -518,8 +518,24 @@ class TestCliPvalue:
         assert "1/1" in capsys.readouterr().out
 
     def test_twin_value(self, capsys):
+        # A normal double is shown by %.6g of the double.
         assert cli.main(["pvalue", "--q", "115", "--d", "46"]) == 0
-        assert "e-08" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith(
+            "P(D_115 >= 46) = 1.31741e-08 (exact ")
+
+    @pytest.mark.parametrize("q, shown", [(540, "6.36073e-324"),
+                                          (600, "5.04401e-360")])
+    def test_pvalue_below_the_smallest_normal_double(self, q, shown, capsys):
+        # 2 / C(2q, q): a subnormal double at q = 540 (printed 4.94066e-324
+        # as a double), 0.0 at q = 600 (printed 0).
+        assert cli.main(["pvalue", "--q", str(q), "--d", str(q)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"P(D_{q} >= {q}) = {shown} (exact ")
+        exact = band_pvalue(q, q)
+        assert 0 < exact < sys.float_info.min
+        # Within half a unit of the sixth significant digit of the band DP.
+        exp = int(shown.split("e")[1])
+        assert abs(Fraction(shown) - exact) <= Fraction(10) ** (exp - 5) / 2
 
     def test_missing_flag_is_usage_error(self, capsys):
         assert cli.main(["pvalue", "--q", "3"]) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,24 @@ def reference_gap(a, b):
     return int(gap[k]), float(merged[k])
 
 
+def reference_prim_keys(key):
+    """The keys a Prim from node 0 takes on one p x p key matrix, in the
+    order it takes them, one node and one comparison at a time: the node
+    taken is the first, by index, of the nearest not yet taken."""
+    p = len(key)
+    taken = [True] + [False] * (p - 1)
+    dist = list(key[0])
+    keys = []
+    for _ in range(p - 1):
+        v = min((u for u in range(p) if not taken[u]), key=lambda u: dist[u])
+        keys.append(dist[v])
+        taken[v] = True
+        for u in range(p):
+            if not taken[u] and key[v][u] < dist[u]:
+                dist[u] = key[v][u]
+    return keys
+
+
 def reference_null(pooled, perms, mode):
     n = perms.shape[1] // 2
     return np.array([
@@ -71,6 +91,39 @@ def test_permutation_null_matches_per_relabeling_reference(sigma, mode,
             got = _kernels.permutation_null(pooled, perms[:count], mode)
             assert got.dtype == np.int64
             assert np.array_equal(got, expected[:count]), (cells, count)
+
+
+def test_permutation_null_at_p116_does_not_depend_on_the_chunk(monkeypatch):
+    n, p = 6, 116
+    a, b = simulate_modular_pair(n, p, 4, 4, 0.1, RngStream(37, 0))
+    pooled = np.vstack([a.values, b.values])
+    rng = np.random.default_rng(38)
+    perms = np.array([rng.permutation(2 * n) for _ in range(200)])
+    mode = WeightMode.ONE_MINUS_SIMILARITY
+    # The listing is longer than the default chunk, so the default runs it
+    # as several chunks, the last one partial.
+    assert 23 > _kernels._CHUNK_CELLS // (2 * p * p) > 1
+    default = _kernels.permutation_null(pooled, perms[:23], mode)
+    # The peak does not grow with the count: 40 and 200 relabelings run in
+    # the same two buffers.
+    peaks = []
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for count in (40, 200):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _kernels.permutation_null(pooled, perms[:count], mode)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
+    monkeypatch.setattr(_kernels, "_CHUNK_CELLS", 2 * p * p)
+    one = _kernels.permutation_null(pooled, perms[:23], mode)
+    assert one.dtype == default.dtype == np.int64
+    assert np.array_equal(one, default)
 
 
 @pytest.mark.parametrize("group", ["A", "B"])
@@ -111,6 +164,27 @@ def test_prim_keys_leaves_its_input_unchanged():
         assert keys.shape == (m, p - 1)
         assert np.isfinite(keys).all()
         assert w.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 40])
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_prim_keys_match_a_scalar_prim_bit_for_bit(m, p):
+    rng = np.random.default_rng(1000 * m + p)
+    # Keys from {1, ..., p + 1} tie often, though not so often that every
+    # key taken is the smallest; keys from a normal draw do not tie. Zero is
+    # left out, as -0.0 and 0.0 tie but differ in their bits.
+    draws = [rng.integers(1, p + 2, (m, p, p)).astype(float) for _ in range(3)]
+    for w in draws + [rng.standard_normal((m, p, p)) + 10.0]:
+        sym = w + w.transpose(0, 2, 1)
+        # The transposed view of an asymmetric stack is not contiguous.
+        for stack in (sym, w.transpose(0, 2, 1)):
+            before = stack.copy()
+            keys = _kernels.prim_keys(stack)
+            assert keys.shape == (m, p - 1)
+            assert stack.tobytes() == before.tobytes()
+            for k in range(m):
+                want = np.array(reference_prim_keys(stack[k].tolist()))
+                assert keys[k].tobytes() == want.tobytes(), k
 
 
 def test_correlations_into_buffers_match_a_fresh_call():
