@@ -8,7 +8,7 @@ import csv
 import json
 from pathlib import Path
 
-from ._lazy import np
+from ._lazy import np, orjson
 
 from .connectivity import ConnectivityMatrix, TwinCohort, _default_labels
 from .errors import DataError, ValidationError
@@ -143,11 +143,11 @@ def _read_table(path):
     '\\n' and '\\r' among them, the space, '!' to '+', and ','. It gives the
     line ends ('\\n', '\\r\\n' and a lone '\\r', where a text file ends a
     line), from which csv.reader is handed lines decoded one at a time; it
-    reads the first non-empty row, the header when _header says so. numpy's
-    C parser reads the body, the lines past the header, in one call when it
-    can, checked from the same scan; on any other body the same reader reads
-    on, and _parse_rows diagnoses every error. The two routes give the same
-    labels and value bytes."""
+    reads the first non-empty row, the header when _header says so. orjson's
+    number reader reads the body, the lines past the header, in one call
+    when it can, checked from the same scan (_json_body); on any other body
+    the same reader reads on, and _parse_rows diagnoses every error. The two
+    routes give the same labels and value bytes."""
     try:
         data = path.read_bytes()
         bom = data.startswith(codecs.BOM_UTF8)
@@ -167,7 +167,7 @@ def _read_table(path):
         head = 0 if labels is None else reader.line_num
         rows = [first] if labels is None else []
         k = np.searchsorted(low, bounds[head])
-        values = _loadtxt_body(data, bounds[head:], low[k:], kind[k:])
+        values = _json_body(data, bounds[head:], low[k:], kind[k:])
         if values is None:
             rows += filter(None, reader)
     except UnicodeDecodeError as err:
@@ -216,59 +216,79 @@ def _parse_rows(path, rows):
     return values
 
 
-def _loadtxt_body(data, bounds, low, kind):
+def _json_body(data, bounds, low, kind):
     """The values of the body, the lines data[bounds[k]:bounds[k + 1]] with
     the bytes kind at the offsets low, all of its bytes up to ',', that
-    numpy's C parser reads exactly as the csv route would, or None for any
+    _json_numbers reads exactly as the csv route would, or None for any
     other body.
 
-    np.loadtxt parses the lines in one call, with no str per cell, or only
-    the upper triangle of a body whose mirrored tokens are the same bytes
-    (_upper_triangle_lines), whose values are then mirrored. On an ASCII
-    token it gives float()'s double, non-finite ones included, or rejects
-    it ('1_0', '"1"', '#'), except that it also strips the separators
-    '\\x1c' to '\\x1f'. It reads the bytes as latin-1, and the latin-1
-    reading of a UTF-8 character that is not ASCII starts with a letter
-    from '\\xc2' to '\\xf4', so it rejects a token that holds one (float()
-    may read it: U+00A0 padding, a fullwidth digit). Left to the csv
-    route: those tokens, the four separators, a line longer than the csv
-    field limit, a body with no rows (on which numpy warns), and a ragged
-    or non-square body."""
+    The tokens are read in one call, with no str per cell: only the upper
+    triangle of a body whose mirrored tokens are the same bytes
+    (_upper_triangle_text), whose values are then mirrored, else the p
+    lines that are not blank, which csv.reader skips, when each has p - 1
+    commas. Left to the csv route: a body _json_numbers declines, a line
+    longer than the csv field limit, a body with no rows, and a ragged or
+    non-square one."""
     p = len(bounds) - 1
-    start = bounds[0]
-    if (p == 0
-            # numpy strips these as whitespace and float() rejects them
-            or ((0x1c <= kind) & (kind <= 0x1f)).any()
-            # a blank body is whitespace, all of it bytes up to ','
-            or low.size == len(data) - start and not data[start:].strip()
-            or max(b - a for a, b in zip(bounds, bounds[1:]))
+    if (p == 0 or max(b - a for a, b in zip(bounds, bounds[1:]))
             > csv.field_size_limit()):
         return None
-    upper = _upper_triangle_lines(data, bounds, low, kind)
-    lines = upper or [data[a:b] for a, b in zip(bounds, bounds[1:])]
-    try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                            encoding="latin1")
-    except ValueError:
+    text = _upper_triangle_text(data, bounds, low, kind)
+    if text is not None:
+        values = _json_numbers(text, p * (p + 1) // 2)
+        return None if values is None else _mirrored(values, p)
+    lines = (data[a:b] for a, b in zip(bounds, bounds[1:]))
+    rows = [line for line in lines if line.strip(b"\r\n")]
+    p = len(rows)
+    if p == 0 or any(row.count(b",") != p - 1 for row in rows):
         return None
-    if upper is not None:
-        return _mirrored(values.ravel(), p)
-    return values if values.shape[0] == values.shape[1] else None
+    values = _json_numbers(b",".join(rows), p * p)
+    return None if values is None else values.reshape(p, p)
 
 
-def _upper_triangle_lines(data, bounds, low, kind):
-    """Tokens (i, j), j >= i, of a body in row-major order, as lines
-    of p | 1 comma-separated tokens, when the body, the p lines
-    data[bounds[k]:bounds[k + 1]] with the bytes kind at the offsets low,
-    all of its bytes up to ',', has p comma-separated tokens on each line,
-    each line ended by '\\n' or '\\r\\n', and token (j, i) has the bytes of
-    token (i, j) for every i < j; else None.
+def _json_numbers(text, size):
+    """The size float64 values of text, comma-separated numbers, or None
+    when orjson does not read it as exactly size numbers that float() reads
+    alike.
+
+    orjson reads a JSON number, whitespace around it allowed, to float()'s
+    correctly rounded double, and rejects what float() reads and JSON does
+    not ('nan', '1e400', '+1', '.5', '1.', '01', form feeds, characters that
+    are not ASCII), so the csv route reads those. A JSON text may hold more
+    than numbers: a string holds a '"', and true, false and null each hold
+    an 'l' or a 'u', which no number does; an array or an object does not
+    give size float64 values. The integer '-0' reads as 0 where float() gives
+    -0.0: every '-' not after an exponent's 'e' signs a token, and each signed
+    token must give a value with the sign bit set."""
+    if b'"' in text or b"l" in text or b"u" in text:
+        return None
+    doc = b"[" + text + b"]"
+    try:
+        values = np.array(orjson.loads(doc), dtype=np.float64)
+    except (ValueError, TypeError):
+        return None
+    if values.shape != (size,):
+        return None
+    if not values.all():
+        raw = np.frombuffer(doc, np.uint8)
+        before = raw[np.flatnonzero(raw == ord("-")) - 1] | 0x20  # lower case
+        if (np.count_nonzero(before != ord("e"))
+                != np.count_nonzero(np.signbit(values))):
+            return None
+    return values
+
+
+def _upper_triangle_text(data, bounds, low, kind):
+    """Tokens (i, j), j >= i, of a body in row-major order, joined by
+    commas, when the body, the p lines data[bounds[k]:bounds[k + 1]] with
+    the bytes kind at the offsets low, all of its bytes up to ',', has p
+    comma-separated tokens on each line, each line ended by '\\n' or
+    '\\r\\n', and token (j, i) has the bytes of token (i, j) for every
+    i < j; else None.
 
     Equal bytes parse to the same double or fail alike, so parsing these
-    lines gives every value of the full parse, or its error, in p(p+1)/2
-    conversions instead of p**2. p | 1 tokens divide p(p+1)/2; numpy parses
-    lines of about p tokens faster than one long line, and widens only one
-    at a time to 4 bytes a character."""
+    tokens gives every value of the full parse, or its failure, in
+    p(p+1)/2 conversions instead of p**2."""
     p = len(bounds) - 1
     # Row 0 against column 0 first, in O(p), so that a matrix symmetric only
     # within a tolerance is turned away before the passes over low.
@@ -282,8 +302,7 @@ def _upper_triangle_lines(data, bounds, low, kind):
     seps = low[(kind == ord(",")) | (kind == ord("\n"))]
     # A line ended by a lone '\r', or by the end of data, holds no '\n'. So
     # when each row's p-th separator is a '\n', each of the p lines ends at
-    # '\n' or '\r\n' (numpy ends a line there as at '\n', and csv.writer
-    # writes it), and the other separators are commas.
+    # '\n' or '\r\n', and the other separators are commas.
     if seps.size != p * p or not (raw[seps[p - 1::p]] == ord("\n")).all():
         return None
     starts = np.empty_like(seps)
@@ -292,16 +311,10 @@ def _upper_triangle_lines(data, bounds, low, kind):
     starts = starts.reshape(p, p)
     ends = seps.reshape(p, p)
     ends[:, -1] -= raw[ends[:, -1] - 1] == ord("\r")  # before a "\r\n"
-    lengths = ends - starts
-    if not _mirror_tokens_equal(data, starts, lengths):
+    if not _mirror_tokens_equal(data, starts, ends - starts):
         return None
-    line = b",".join(data[a:b] for a, b in zip(starts.diagonal().tolist(),
+    return b",".join(data[a:b] for a, b in zip(starts.diagonal().tolist(),
                                               ends[:, -1].tolist()))
-    # the comma after every (p | 1)-th token ends a line
-    width = p | 1
-    stops = lengths[~np.tri(p, k=-1, dtype=bool)] + 1
-    stops = (np.cumsum(stops, out=stops) - 1)[width - 1::width].tolist()
-    return [line[a + 1:b] for a, b in zip([-1, *stops], stops)]
 
 
 def _mirror_tokens_equal(data, starts, lengths):

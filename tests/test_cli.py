@@ -132,11 +132,11 @@ class TestMatrixCsv:
 
 
 # Files with the route that reads them, and the labels the read gives or a
-# piece of its DataError text. The routes: "upper" (the C route parses the
-# upper triangle of a body whose mirrored tokens are the same bytes),
-# "lines" (the C route parses every line) and "csv" (the C route declines
-# the body, or the file has none). Either C route reads as the csv route
-# does.
+# piece of its DataError text. The routes: "upper" (the C route, orjson's
+# compiled number reader, parses the upper triangle of a body whose mirrored
+# tokens are the same bytes), "lines" (the C route parses every line) and
+# "csv" (the C route declines the body, or the file has none). Either C
+# route reads as the csv route does.
 _ROUTE_CASES = {
     "crlf": ("a,b\r\n1,0.5\r\n0.5,1\r\n", "upper", ("a", "b")),
     "mixed_line_ends": ("1,0.5\r\n0.5,1\n", "upper", ("V1", "V2")),
@@ -156,11 +156,17 @@ _ROUTE_CASES = {
     # row 0 and column 0 agree, so the check gets past its first test;
     # "+7" and "7." have one length
     "mirror_differs_past_row_0": ("a,b,c\n1,0.5,0\n0.5,1,+7\n0,7.,1\n",
-                                  "lines", ("a", "b", "c")),
+                                  "csv", ("a", "b", "c")),
+    # the same with tokens JSON reads: "1e1" and "1E1"
+    "mirror_differs_past_row_0_json": ("a,b,c\n1,0.5,0\n0.5,1,1e1\n0,1E1,1\n",
+                                       "lines", ("a", "b", "c")),
     "crlf_mirror_differs_past_row_0": ("1,0,0\r\n0,1,-0.0\r\n0,0.0,1\r\n",
                                        "lines", ("V1", "V2", "V3")),
-    "byte_symmetric": ("a,b,c\n1,0.5,-2e-3\n0.5,1,+7\n-2e-3,+7,1\n", "upper",
+    "byte_symmetric": ("a,b,c\n1,0.5,-2e-3\n0.5,1,+7\n-2e-3,+7,1\n", "csv",
                        ("a", "b", "c")),
+    # without the "+7", which JSON rejects
+    "byte_symmetric_json": ("a,b,c\n1,0.5,-2e-3\n0.5,1,7\n-2e-3,7,1\n",
+                            "upper", ("a", "b", "c")),
     "one_node": ("x\n5\n", "upper", ("x",)),
     "subnormal_negative_zero": ("5e-324,-0.0\n-0.0,2.225e-308\n", "upper",
                                 ("V1", "V2")),
@@ -182,20 +188,42 @@ _ROUTE_CASES = {
     "quoted_number": ('"1",0\n0,1\n', "csv", ("V1", "V2")),
     "underscore": ("1_0,0\n0,1\n", "csv", ("V1", "V2")),
     "arabic_digit": ("\u0661,0\n0,1\n", "csv", ("V1", "V2")),
-    # numpy reads the bytes as latin-1 and rejects these; float() reads them
+    # JSON rejects these; float() reads them
     "nbsp_padded_and_fullwidth": ("a,b\n\uff11,\u00a00.5\n\u00a00.5,\uff11\n",
                                   "csv", ("a", "b")),
     "whitespace_line": ("1,0\n \n0,1\n", "csv", "row 1 has 2 columns"),
     "form_feed_inside": ("a\n1\x0c2\n", "csv", "cannot parse '1\\x0c2'"),
-    "form_feed_strip": ("1,0\x0c\n0\x0c,1\n", "upper", ("V1", "V2")),
+    "form_feed_strip": ("1,0\x0c\n0\x0c,1\n", "csv", ("V1", "V2")),
     "next_line_strip": ("1,0\x85\n0,1\n", "csv", ("V1", "V2")),
     "line_separator": ("a\n1\u20282\n", "csv", "cannot parse '1\\u20282'"),
     "file_separator": ("a,b\n1,0\x1c\n0\x1c,1\n", "csv",
                        "cannot parse '0\\x1c'"),
     "nul": ("a,b\n1,0\x00\n0,1\n", "csv", "cannot parse '0\\x00'"),
-    "nan": ("1,nan\nnan,1\n", "upper",
+    "nan": ("1,nan\nnan,1\n", "csv",
             "non-finite value nan at row 1, column 2"),
-    "overflow": ("1,1e400\n1e400,1\n", "upper", "non-finite value inf"),
+    "overflow": ("1,1e400\n1e400,1\n", "csv", "non-finite value inf"),
+    # JSON reads the integer -0 as 0, float() as -0.0
+    "negative_zero_integer": ("1,-0\n-0,1\n", "csv", ("V1", "V2")),
+    "negative_zero_integer_lines": ("0,-0,-1e-5\n-0,0,-2\n-1e-5,-2,0",
+                                    "csv", ("V1", "V2", "V3")),
+    # zeros beside signed tokens, and '-' in exponents, that JSON reads as
+    # float() does
+    "zeros_and_signs": ("0,-0.5,-1e-5,0e-3\n-0.5,0,-2E-3,-0e0\n"
+                        "-1e-5,-2E-3,0,-0.0\n0e-3,-0e0,-0.0,0\n", "upper",
+                        ("V1", "V2", "V3", "V4")),
+    "integers_past_2_53": ("9007199254740993,0\n0,18446744073709551615\n",
+                           "upper", ("V1", "V2")),
+    # JSON values that are not numbers: the csv route rejects them
+    "true": ("a,b\n1,true\ntrue,1\n", "csv", "cannot parse 'true'"),
+    "false": ("a,b\n1,false\nfalse,1\n", "csv", "cannot parse 'false'"),
+    "null": ("a,b\n1,null\nnull,1\n", "csv", "cannot parse 'null'"),
+    "array": ("a\n[1]\n", "csv", "cannot parse '[1]'"),
+    "object": ("a\n{}\n", "csv", "cannot parse '{}'"),
+    # numbers that float() reads and JSON does not
+    "leading_zero": ("01,0\n0,01\n", "csv", ("V1", "V2")),
+    "no_integer_part": ("1,.5\n.5,1\n", "csv", ("V1", "V2")),
+    "no_fraction_digits": ("1.,0\n0,1.\n", "csv", ("V1", "V2")),
+    "plus_sign": ("+1,0\n0,+1\n", "csv", ("V1", "V2")),
     "ragged": ("1,0\n0\n", "csv", "row 2 has 1 columns, expected 2"),
     # p * p tokens in all, which read row by row make a symmetric grid
     "ragged_p_squared_tokens": ("1,2,2\n1\n", "csv",
@@ -216,8 +244,8 @@ def _c_route(path, monkeypatch):
     """"upper" or "lines", the part of the C route that read path, or "csv"
     when the C route declined its body or the file has none."""
     upper, table = [], [None]
-    real_upper = matrixio._upper_triangle_lines
-    real_body = matrixio._loadtxt_body
+    real_upper = matrixio._upper_triangle_text
+    real_body = matrixio._json_body
 
     def upper_spy(*args):
         upper.append(real_upper(*args))
@@ -228,8 +256,8 @@ def _c_route(path, monkeypatch):
         return table[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(matrixio, "_upper_triangle_lines", upper_spy)
-        patch.setattr(matrixio, "_loadtxt_body", body_spy)
+        patch.setattr(matrixio, "_upper_triangle_text", upper_spy)
+        patch.setattr(matrixio, "_json_body", body_spy)
         _read_outcome(path)
     if table[-1] is None:
         return "csv"
@@ -257,19 +285,20 @@ class TestMatrixCsvRoutes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _read_outcome(path)
-        monkeypatch.setattr(matrixio, "_loadtxt_body", lambda *args: None)
+        monkeypatch.setattr(matrixio, "_json_body", lambda *args: None)
         assert _read_outcome(path) == got
         if isinstance(expect, str):
             assert expect in got
         else:
             assert got[0] == expect
 
-    @pytest.mark.parametrize("case", ["byte_symmetric", "quoted_number",
+    @pytest.mark.parametrize("case", ["byte_symmetric_json",
+                                      "byte_symmetric", "quoted_number",
                                       "not_utf_8"])
     def test_reads_the_file_once(self, tmp_path, monkeypatch, case):
-        # the C route reads byte_symmetric; the csv route reads on from the
-        # lines of the same open for quoted_number; the one decode of the
-        # bytes read reports where a file is not UTF-8
+        # the C route reads byte_symmetric_json; the csv route reads on from
+        # the lines of the same open for byte_symmetric and quoted_number;
+        # the one decode of the bytes read reports where a file is not UTF-8
         path = tmp_path / "m.csv"
         if case == "not_utf_8":
             path.write_bytes(b"a,b\n1,\xff\n0,1\n")
@@ -300,8 +329,8 @@ class TestMatrixCsvRoutes:
         data = b"1,0.10000000000000001,0.2\n0.1,1,0.3\n0.2,0.3,1\n"
         bounds = [0, 26, 36, 46]  # where each line starts, and the end
         assert len(data) == bounds[-1]
-        assert matrixio._upper_triangle_lines(data, bounds, None,
-                                              None) is None
+        assert matrixio._upper_triangle_text(data, bounds, None,
+                                             None) is None
 
     def test_field_limit_error_text(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -946,8 +975,9 @@ class TestCliHeritability:
 def test_cli_runs_without_scipy(rng, tmp_path):
     # scipy is a test dependency only: with its import blocked, the
     # commands still run, and nothing under scipy is loaded. pvalue uses no
-    # arrays, so it loads no numpy submodule either; heritability then
-    # loads numpy on its first array call.
+    # arrays and reads no matrix, so it loads no numpy submodule and not
+    # orjson's compiled module either; heritability then loads both on
+    # first use.
     manifest = TestManifest().write_cohort(rng, tmp_path, ("x", "y", "z"), m=4)
     code = """if True:
         import json, sys
@@ -955,14 +985,16 @@ def test_cli_runs_without_scipy(rng, tmp_path):
         import combinf
         from combinf import cli, matrixio
         rcs = [cli.main(["pvalue", "--q", "115", "--d", "46"])]
-        numpy_loaded = [name for name in sys.modules
-                        if name.startswith("numpy.")]
+        after_pvalue = {lib: [name for name in sys.modules
+                              if name.startswith(lib + ".")]
+                        for lib in ("numpy", "orjson")}
         rcs.append(cli.main(["heritability", "--mz", sys.argv[1],
                              "--dz", sys.argv[1], "--out", sys.argv[2]]))
         loaded = [name for name, module in sys.modules.items()
                   if name.split(".")[0] == "scipy" and module is not None]
         print(json.dumps({"rcs": rcs, "scipy": loaded,
-                          "numpy_after_pvalue": numpy_loaded}))
+                          "after_pvalue": after_pvalue,
+                          "orjson": "orjson.orjson" in sys.modules}))
     """
     src = os.path.dirname(os.path.dirname(combinf.__file__))
     done = subprocess.run(
@@ -970,15 +1002,17 @@ def test_cli_runs_without_scipy(rng, tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"rcs": [0, 0], "scipy": [], "numpy_after_pvalue": []}
+    assert result == {"rcs": [0, 0], "scipy": [],
+                      "after_pvalue": {"numpy": [], "orjson": []},
+                      "orjson": True}
 
 
-def test_blocked_numpy_fails_at_import():
-    # numpy loads lazily, but a missing or blocked numpy is still an
-    # ImportError at import time, not an AttributeError on first use.
-    code = """if True:
+def _import_error_with_blocked(module):
+    """The name of the error that `import combinf` raises in a fresh process
+    with sys.modules[module] = None, as a list of one, or []."""
+    code = f"""if True:
         import sys
-        sys.modules["numpy"] = None
+        sys.modules[{module!r}] = None
         try:
             import combinf
         except ImportError as err:
@@ -988,7 +1022,19 @@ def test_blocked_numpy_fails_at_import():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["ModuleNotFoundError"]
+    return done.stdout.split()
+
+
+def test_blocked_numpy_fails_at_import():
+    # numpy loads lazily, but a missing or blocked numpy is still an
+    # ImportError at import time, not an AttributeError on first use.
+    assert _import_error_with_blocked("numpy") == ["ModuleNotFoundError"]
+
+
+def test_blocked_orjson_fails_at_import():
+    # orjson, the matrix CSV reader's number parser, is a hard dependency
+    # loaded as numpy is: missing or blocked, `import combinf` fails.
+    assert _import_error_with_blocked("orjson") == ["ModuleNotFoundError"]
 
 
 class TestCliSimulate:

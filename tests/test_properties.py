@@ -1,10 +1,10 @@
 """Property tests: the exact null against its oracles, the discrepancy
 kernel's tie flag against np.isin, the exit codes of `combinf pvalue`, the production spanning tree against the reference
 Kruskal, the midranks against scipy's rankdata, the twin map against an
-edge-by-edge Spearman loop, the matrix CSV reader against float() and its
-upper-triangle parse against the csv route, and the exit codes of
-`combinf compare`, `heritability` and `simulate` on malformed files, on
-inputs drawn by hypothesis.
+edge-by-edge Spearman loop, the matrix CSV reader against float(), its
+upper-triangle parse and its orjson number reader against the csv route,
+and the exit codes of `combinf compare`, `heritability` and `simulate` on
+malformed files, on inputs drawn by hypothesis.
 
 Examples are few and derandomized, so the suite stays fast and repeatable.
 """
@@ -17,7 +17,7 @@ import re
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -346,7 +346,7 @@ def test_upper_triangle_parse_reads_as_csv_route(p, header, end, last_end,
         lines.insert(0, ",".join(f"n{k}" for k in range(p)))
     text = end.join(lines) + (end if last_end else "")
     upper = []
-    real = matrixio._upper_triangle_lines
+    real = matrixio._upper_triangle_text
 
     def spy(*args):
         lines = real(*args)
@@ -357,13 +357,85 @@ def test_upper_triangle_parse_reads_as_csv_route(p, header, end, last_end,
         path = f"{tmp}/m.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
-        with patch.object(matrixio, "_upper_triangle_lines", spy):
+        with patch.object(matrixio, "_upper_triangle_text", spy):
             got = _read_outcome(path)
-        with patch.object(matrixio, "_loadtxt_body", lambda *args: None):
+        with patch.object(matrixio, "_json_body", lambda *args: None):
             assert _read_outcome(path) == got
     mirrored = all(tokens[i][j] == tokens[j][i]
                    for i in range(p) for j in range(i))
     assert upper == [mirrored and last_end]
+
+
+def _double(bits):
+    return float(np.uint64(bits).view(np.float64))
+
+
+def _halfway_tokens(x):
+    """The exact midpoint of the finite double x and the next one up, and
+    the decimals one digit past it either way, each with its own rounding
+    to a double."""
+    up = math.nextafter(x, math.inf)
+    with localcontext() as ctx:
+        ctx.prec = 1200  # every double's decimal expansion fits
+        half = (Decimal(x) + Decimal(up)) / 2
+        ctx.prec = len(half.as_tuple().digits) + 1
+        return [str(half), str(half.next_plus()), str(half.next_minus())]
+
+
+# sign, exponent below the all-ones of inf and nan, and mantissa
+_FINITE_BITS = st.builds(lambda sign, exponent, mantissa:
+                         sign << 63 | exponent << 52 | mantissa,
+                         st.integers(0, 1), st.integers(0, 2046),
+                         st.integers(0, 2**52 - 1))
+_JSON_NUMBERS = st.one_of(
+    st.builds(lambda bits, fmt: fmt(_double(bits)), _FINITE_BITS,
+              st.sampled_from([lambda x: "%.17g" % x, lambda x: "%.15g" % x,
+                               repr, lambda x: "%.6e" % x])),
+    # subnormals, either sign
+    st.builds(lambda bits, sign: repr(_double(bits | sign << 63)),
+              st.integers(1, 2**52 - 1), st.integers(0, 1)),
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "0e5", "-0e-5", "-0E+0"]),
+    st.builds(lambda bits, k: _halfway_tokens(_double(bits))[k],
+              _FINITE_BITS.filter(
+                  lambda bits: math.isfinite(math.nextafter(_double(bits),
+                                                            math.inf))),
+              st.integers(0, 2)),
+    st.builds(str, st.integers(2**53 + 1, 2**64)),
+    st.builds(str, st.integers(-2**64, -2**53 - 1)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(p=st.integers(1, 5), end=st.sampled_from(["\n", "\r\n"]),
+       data=st.data())
+def test_json_route_reads_numbers_as_float_does(p, end, data):
+    # A byte-symmetric file of JSON number tokens: orjson reads the upper
+    # triangle to the doubles float() gives on the csv route, bit for bit,
+    # unless a token is the integer -0, which it leaves to the csv route.
+    tokens = [[""] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i, p):
+            tokens[i][j] = tokens[j][i] = data.draw(_JSON_NUMBERS)
+    text = "".join(",".join(row) + end
+                   for row in [[f"n{k}" for k in range(p)], *tokens])
+    read = []
+    real = matrixio._json_body
+
+    def spy(*args):
+        values = real(*args)
+        read.append(values is not None)
+        return values
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/m.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        with patch.object(matrixio, "_json_body", spy):
+            got = _read_outcome(path)
+        with patch.object(matrixio, "_json_body", lambda *args: None):
+            assert _read_outcome(path) == got
+    assert got[0] == tuple(f"n{k}" for k in range(p))
+    assert read == [all(tok != "-0" for row in tokens for tok in row)]
 
 
 def _run_cli(argv):
